@@ -268,7 +268,8 @@ def parse_config(argv):
             problems.append(f"{key} must be one of {sorted(allowed)}, got {raw[key]!r}")
             raw[key] = allowed[0]
 
-    if raw["method"] == "desdd" and "dcs" in explicit:
+    # A DESDD sidecar records the default rule, so it must replay.
+    if raw["method"] == "desdd" and "dcs" in explicit and raw["dcs"] != DEFAULTS["dcs"]:
         problems.append("dcs is not applicable to method desdd")
 
     drift = DriftSchedule()
