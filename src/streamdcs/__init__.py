@@ -25,7 +25,7 @@ from .learners import (
     OnlineBaggingEnsemble,
     hoeffding_bound,
 )
-from .validation import Neighborhood, ValidationSet, output_profiles
+from .validation import Neighborhood, ValidationSet, member_posteriors, output_profiles
 from .dcs import (
     RULES,
     APosteriori,
@@ -78,6 +78,7 @@ __all__ = [
     "hoeffding_bound",
     "Neighborhood",
     "ValidationSet",
+    "member_posteriors",
     "output_profiles",
     "RULES",
     "APosteriori",

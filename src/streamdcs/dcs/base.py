@@ -8,7 +8,7 @@ import numpy as np
 
 from ..exceptions import NotReadyError
 from ..utils import ParamsMixin, majority_vote
-from ..validation import Neighborhood
+from ..validation import Neighborhood, member_posteriors
 
 # Stand-in for a zero distance when inverting distances into weights.
 EPS_DISTANCE = 1e-12
@@ -86,35 +86,41 @@ class DCSRule(ParamsMixin):
         )
 
 
-def build_context(learners, validation_set, x, k, space="feature", n_classes=None):
+def build_context(
+    learners, validation_set, x, k, space="feature", n_classes=None, posteriors=None
+):
     """Assemble the competence context for one query.
 
-    Each member is evaluated once per neighbor (a single batched
-    predict_proba call per member) plus once on the query itself.
+    posteriors is the members' (P, N, C) tensor over the validation
+    window's flat view (see member_posteriors); the neighbors' posteriors
+    are read from it by index, and only the query itself is passed through
+    the members (one predict_proba call each). The stream methods cache the
+    tensor per pool and window state; when it is omitted it is computed
+    here.
     """
     learners = list(learners)
     if not learners:
         raise NotReadyError("pool is empty")
     if len(validation_set) == 0:
         raise NotReadyError("validation set is empty")
+    if space not in ("feature", "profile"):
+        raise ValueError(f"unknown neighborhood space {space!r}")
+    if posteriors is None:
+        posteriors = member_posteriors(learners, validation_set.features)
     x = np.asarray(x, dtype=np.float64).ravel()
+    query_posteriors = np.vstack([m.predict_proba(x.reshape(1, -1)) for m in learners])
     if space == "feature":
         neighborhood = validation_set.knn_query(x, k)
-    elif space == "profile":
-        neighborhood = validation_set.knn_output_profiles(learners, x, k)
     else:
-        raise ValueError(f"unknown neighborhood space {space!r}")
+        neighborhood = validation_set.knn_output_profiles(posteriors, query_posteriors, k)
 
-    posteriors = np.stack([m.predict_proba(neighborhood.features) for m in learners])
-    member_preds = posteriors.argmax(axis=2)
-    correctness = member_preds == neighborhood.labels[None, :]
-    query_posteriors = np.vstack([m.predict_proba(x.reshape(1, -1)) for m in learners])
-    query_predictions = query_posteriors.argmax(axis=1)
+    neighbor_posteriors = posteriors[:, neighborhood.indices]
+    correctness = neighbor_posteriors.argmax(axis=2) == neighborhood.labels[None, :]
     return CompetenceContext(
         neighborhood=neighborhood,
         correctness=correctness,
-        posteriors=posteriors,
-        query_predictions=query_predictions,
+        posteriors=neighbor_posteriors,
+        query_predictions=query_posteriors.argmax(axis=1),
         query_posteriors=query_posteriors,
         n_classes=n_classes if n_classes else posteriors.shape[2],
     )

@@ -54,7 +54,7 @@ def _entropy_bits_cols(counts):
 
 
 class _Leaf:
-    __slots__ = ("class_counts", "mean", "m2", "f_min", "f_max", "since_attempt")
+    __slots__ = ("class_counts", "mean", "m2", "f_min", "f_max", "since_attempt", "proba")
 
     def __init__(self, n_classes, n_features):
         self.class_counts = np.zeros(n_classes)
@@ -63,8 +63,10 @@ class _Leaf:
         self.f_min = np.full(n_features, np.inf)
         self.f_max = np.full(n_features, -np.inf)
         self.since_attempt = 0
+        self.proba = None  # class distribution, cached until the leaf learns
 
     def learn(self, x, c):
+        self.proba = None
         self.class_counts[c] += 1.0
         delta = x - self.mean[c]
         self.mean[c] += delta / self.class_counts[c]
@@ -72,6 +74,16 @@ class _Leaf:
         np.minimum(self.f_min, x, out=self.f_min)
         np.maximum(self.f_max, x, out=self.f_max)
         self.since_attempt += 1
+
+    def distribution(self):
+        """Class frequencies of the instances learned, uniform when none."""
+        if self.proba is None:
+            total = self.class_counts.sum()
+            n_classes = len(self.class_counts)
+            self.proba = (
+                self.class_counts / total if total > 0 else np.full(n_classes, 1.0 / n_classes)
+            )
+        return self.proba
 
 
 class _Split:
@@ -206,19 +218,35 @@ class HoeffdingTreeClassifier(IncrementalClassifier):
         return None
 
     def predict_proba(self, X):
+        """Class distributions of the leaves the rows reach.
+
+        All rows descend together: each split node partitions the row
+        positions that reach it with the same ``<=`` test as training, so a
+        NaN feature goes right. A branch no row takes is never visited.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X.reshape(1, -1)
         if self._root is None:
             return self._uniform_proba(len(X))
         out = np.empty((len(X), self.n_classes_))
-        for i, x in enumerate(X):
-            leaf, _, _ = self._route(x)
-            total = leaf.class_counts.sum()
-            if total > 0:
-                out[i] = leaf.class_counts / total
-            else:
-                out[i] = 1.0 / self.n_classes_
+        # rows is every row of X until a node splits them.
+        pending = [(self._root, slice(None))]
+        while pending:
+            node, rows = pending.pop()
+            while isinstance(node, _Split):
+                left = X[rows, node.feature] <= node.threshold
+                n_left = np.count_nonzero(left)
+                if n_left == len(left):
+                    node = node.left
+                elif n_left == 0:
+                    node = node.right
+                else:
+                    if isinstance(rows, slice):
+                        rows = np.arange(len(X))
+                    pending.append((node.right, rows[~left]))
+                    node, rows = node.left, rows[left]
+            out[rows] = node.distribution()
         return out
 
     def _leaves(self):

@@ -6,6 +6,7 @@ import numpy as np
 
 from ..streams import Chunk
 from ..utils import ParamsMixin, as_feature_matrix, as_label_vector
+from ..validation import ValidationSet, member_posteriors
 
 
 class Pool:
@@ -17,6 +18,8 @@ class Pool:
         self.max_size = int(max_size)
         self._members = []
         self._births = []
+        # Bumped by every change to the membership, so caches can key on it.
+        self.version = 0
 
     def __len__(self):
         return len(self._members)
@@ -34,6 +37,7 @@ class Pool:
             raise ValueError("birth indices must be nondecreasing")
         self._members.append(learner)
         self._births.append(int(birth_index))
+        self.version += 1
 
     @property
     def over_capacity(self):
@@ -42,6 +46,7 @@ class Pool:
     def evict(self, position):
         self._members.pop(position)
         self._births.pop(position)
+        self.version += 1
 
 
 class BaseStreamClassifier(ParamsMixin):
@@ -92,15 +97,40 @@ class BaseStreamClassifier(ParamsMixin):
 
 
 class ChunkedStreamClassifier(BaseStreamClassifier):
-    """Buffers the stream into fixed-size chunks and reacts at boundaries."""
+    """Buffers the stream into fixed-size chunks and reacts at boundaries.
 
-    def __init__(self, chunk_size):
+    Holds a bounded pool of members and a validation window of the most
+    recent chunks, plus the members' posteriors over that window. A member
+    is frozen once pooled, so the posteriors change only with the pool or
+    the window, and each state is scored once rather than once per query.
+    """
+
+    def __init__(self, chunk_size, max_pool_size, window_chunks):
         super().__init__()
         if chunk_size < 1:
             raise ValueError("chunk size must be positive")
         self._buffer = Chunk(chunk_size)
         self._chunk_index = 0
         self.learners_created = 0
+        self.pool_ = Pool(max_pool_size)
+        self.validation_ = ValidationSet(window_chunks)
+        self._posteriors = None
+        self._posteriors_state = None
+
+    @property
+    def is_ready(self):
+        return len(self.pool_) > 0 and len(self.validation_) > 0
+
+    def _window_posteriors(self):
+        """The pool's (P, N, C) posteriors over the validation window's flat
+        view, refilled in place after any change to the pool or the window."""
+        state = (self.pool_.version, self.validation_.version)
+        if state != self._posteriors_state:
+            self._posteriors = member_posteriors(
+                self.pool_.learners, self.validation_.features, out=self._posteriors
+            )
+            self._posteriors_state = state
+        return self._posteriors
 
     def _learn_batch(self, X, y):
         offset = 0

@@ -6,8 +6,7 @@ import numpy as np
 
 from ..dcs import DCSRule, build_context, make_rule
 from ..learners import HoeffdingTreeClassifier
-from ..validation import ValidationSet
-from .base import ChunkedStreamClassifier, Pool
+from .base import ChunkedStreamClassifier
 
 
 class DynseClassifier(ChunkedStreamClassifier):
@@ -48,7 +47,7 @@ class DynseClassifier(ChunkedStreamClassifier):
         window_chunks=4,
         pruning="age",
     ):
-        super().__init__(chunk_size)
+        super().__init__(chunk_size, max_pool_size, window_chunks)
         if pruning not in ("age", "accuracy"):
             raise ValueError("pruning must be 'age' or 'accuracy'")
         self.learner_factory = learner_factory
@@ -59,12 +58,6 @@ class DynseClassifier(ChunkedStreamClassifier):
         self.window_chunks = window_chunks
         self.pruning = pruning
         self._selector = dcs_rule if isinstance(dcs_rule, DCSRule) else make_rule(dcs_rule)
-        self.pool_ = Pool(max_pool_size)
-        self.validation_ = ValidationSet(window_chunks)
-
-    @property
-    def is_ready(self):
-        return len(self.pool_) > 0 and len(self.validation_) > 0
 
     def _on_chunk(self, chunk):
         learner = self.learner_factory()
@@ -78,8 +71,8 @@ class DynseClassifier(ChunkedStreamClassifier):
     def _victim_position(self):
         if self.pruning == "age":
             return 0
-        X, y = self.validation_.features, self.validation_.labels
-        accuracies = [np.mean(m.predict(X) == y) for m in self.pool_.learners]
+        predictions = self._window_posteriors().argmax(axis=2)
+        accuracies = np.mean(predictions == self.validation_.labels, axis=1)
         return int(np.argmin(accuracies))
 
     def _predict_one(self, x):
@@ -90,5 +83,6 @@ class DynseClassifier(ChunkedStreamClassifier):
             self.k,
             space=self._selector.neighborhood_space,
             n_classes=self.n_classes_,
+            posteriors=self._window_posteriors(),
         )
         return self._selector.select(ctx).prediction

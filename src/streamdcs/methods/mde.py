@@ -9,8 +9,7 @@ import numpy as np
 from ..evaluation import confusion_matrix, gmean
 from ..learners import HoeffdingTreeClassifier
 from ..utils import majority_vote
-from ..validation import ValidationSet
-from .base import ChunkedStreamClassifier, Pool
+from .base import ChunkedStreamClassifier
 
 
 class MdeClassifier(ChunkedStreamClassifier):
@@ -46,20 +45,16 @@ class MdeClassifier(ChunkedStreamClassifier):
         k=7,
         window_chunks=4,
     ):
-        super().__init__(chunk_size)
+        super().__init__(chunk_size, max_pool_size, window_chunks)
         self.learner_factory = learner_factory
         self.chunk_size = chunk_size
         self.max_pool_size = max_pool_size
         self.k = k
         self.window_chunks = window_chunks
-        self.pool_ = Pool(max_pool_size)
-        self.validation_ = ValidationSet(window_chunks)
         self.scores_ = []
         self.minority_class_ = None
-
-    @property
-    def is_ready(self):
-        return len(self.pool_) > 0 and len(self.validation_) > 0
+        self._minority_mask = None
+        self._minority_state = None
 
     def _on_chunk(self, chunk):
         self.minority_class_ = self._minority_label(chunk.labels)
@@ -85,22 +80,23 @@ class MdeClassifier(ChunkedStreamClassifier):
         predictions = member.predict(chunk.features)
         return gmean(confusion_matrix(chunk.labels, predictions, self.n_classes_))
 
+    def _minority_rows(self):
+        """Mask of the window's minority-class rows, kept per window state."""
+        state = (self.validation_.version, self.minority_class_)
+        if state != self._minority_state:
+            self._minority_mask = self.validation_.labels == self.minority_class_
+            self._minority_state = state
+        return self._minority_mask
+
     def _predict_one(self, x):
-        learners = self.pool_.learners
-        minority_mask = self.validation_.labels == self.minority_class_
-        if not minority_mask.any():
-            votes = [int(m.predict(x.reshape(1, -1))[0]) for m in learners]
-            return majority_vote(votes, self.n_classes_)
-        neighborhood = self.validation_.knn_query(x, self.k, where=minority_mask)
-        needed = math.ceil(self.k / 2)
-        votes = []
         query = x.reshape(1, -1)
-        for member in learners:
-            correct = int(
-                np.sum(member.predict(neighborhood.features) == neighborhood.labels)
-            )
-            if correct >= needed:
-                votes.append(int(member.predict(query)[0]))
-        if not votes:
-            votes = [int(m.predict(query)[0]) for m in learners]
+        votes = np.array([m.predict(query)[0] for m in self.pool_.learners])
+        minority = self._minority_rows()
+        if minority.any():
+            neighborhood = self.validation_.knn_query(x, self.k, where=minority)
+            predictions = self._window_posteriors()[:, neighborhood.indices].argmax(axis=2)
+            correct = np.sum(predictions == neighborhood.labels, axis=1)
+            competent = correct >= math.ceil(self.k / 2)
+            if competent.any():
+                votes = votes[competent]
         return majority_vote(votes, self.n_classes_)

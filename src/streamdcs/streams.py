@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -172,8 +173,8 @@ class SEAGenerator(StreamSource):
 class CSVStream(StreamSource):
     """Finite stream read from a comma-separated file.
 
-    Non-label columns must parse as decimal-point reals; label values are
-    remapped to dense class indices in order of first appearance.
+    Non-label columns must parse as finite decimal-point reals; label
+    values are remapped to dense class indices in order of first appearance.
     """
 
     def __init__(self, path, label_column="last", header=False):
@@ -243,10 +244,15 @@ def _parse_csv(path, label_column, header):
                 labels.append(class_map[key])
                 continue
             try:
-                X[r, j] = float(cell)
+                value = float(cell)
             except ValueError:
                 raise StreamFormatError(
                     f"{path}: row {line_no}, column {c + 1}: cannot parse {cell.strip()!r} as a real"
                 )
+            if not math.isfinite(value):
+                raise StreamFormatError(
+                    f"{path}: row {line_no}, column {c + 1}: non-finite value {cell.strip()!r}"
+                )
+            X[r, j] = value
             j += 1
     return X, np.asarray(labels, dtype=np.int64), class_labels

@@ -8,12 +8,18 @@ import numpy as np
 
 
 def as_feature_matrix(X, n_features=None):
-    """Coerce X to a 2-D float64 array, optionally enforcing the column count."""
+    """Coerce X to a 2-D float64 array of finite values, optionally enforcing
+    the column count."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X.reshape(1, -1)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D feature matrix, got ndim={X.ndim}")
+    if not np.isfinite(X).all():
+        row, column = np.argwhere(~np.isfinite(X))[0]
+        raise ValueError(
+            f"features must be finite; row {row}, column {column} holds {float(X[row, column])}"
+        )
     if n_features is not None and X.shape[1] != n_features:
         raise ValueError(
             f"feature dimension mismatch: expected {n_features}, got {X.shape[1]}"

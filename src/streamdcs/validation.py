@@ -15,8 +15,9 @@ class Neighborhood:
     """k nearest validation instances for one query, ascending by distance.
 
     Distance ties resolve to insertion order (older instances first). The
-    distances are measured either in feature space or in output-profile
-    space, depending on the query that produced the neighborhood.
+    distances, and the query point, live either in feature space or in
+    output-profile space, depending on the query that produced the
+    neighborhood.
     """
 
     query: np.ndarray
@@ -41,9 +42,26 @@ def _smallest_k(sq_distances, k):
     return candidates[order][:k]
 
 
-def output_profiles(learners, X):
-    """Concatenated per-member probability outputs, one row per instance."""
-    return np.hstack([m.predict_proba(X) for m in learners])
+def member_posteriors(learners, X, out=None):
+    """(P, n, C) tensor of each member's predict_proba over the rows of X,
+    for a non-empty list of P learners.
+
+    It is written into out when out already has that shape, so a caller can
+    refill one buffer instead of allocating a new tensor.
+    """
+    for i, member in enumerate(learners):
+        proba = member.predict_proba(X)
+        if i == 0 and (out is None or out.shape != (len(learners),) + proba.shape):
+            out = np.empty((len(learners),) + proba.shape)
+        out[i] = proba
+    return out
+
+
+def output_profiles(posteriors):
+    """Output profiles from a (P, n, C) posterior tensor: row i concatenates
+    every member's probability outputs for instance i."""
+    n_members, n_rows, n_classes = posteriors.shape
+    return posteriors.transpose(1, 0, 2).reshape(n_rows, n_members * n_classes)
 
 
 class ValidationSet:
@@ -60,11 +78,14 @@ class ValidationSet:
         self._chunks = deque(maxlen=self.max_chunks)
         self._flat_X = None
         self._flat_y = None
+        # Bumped by every change to the window, so caches can key on it.
+        self.version = 0
 
     def push_chunk(self, chunk):
         if not chunk.is_full:
             raise ValueError("only full chunks enter the validation window")
         self._chunks.append(chunk)
+        self.version += 1
         self._flat_X = None
         self._flat_y = None
         return self
@@ -122,24 +143,26 @@ class ValidationSet:
             labels=y[flat_idx],
         )
 
-    def knn_output_profiles(self, learners, x, k):
-        """k nearest instances to x by Euclidean distance between output
-        profiles, computed against the given pool of learners."""
+    def knn_output_profiles(self, posteriors, query_posteriors, k):
+        """k nearest instances by Euclidean distance between output profiles.
+
+        posteriors holds the pool's (P, N, C) outputs over the flat view
+        (see member_posteriors) and query_posteriors its (P, C) outputs on
+        the query, whose profile becomes the neighborhood's query point.
+        """
         if len(self) == 0:
             raise NotReadyError("validation set is empty")
-        if not len(learners):
+        if not len(posteriors):
             raise NotReadyError("pool is empty")
         if k < 1:
             raise ValueError("k must be positive")
         X, y = self._flatten()
-        x = np.asarray(x, dtype=np.float64).ravel()
-        profiles = output_profiles(learners, X)
-        query_profile = output_profiles(learners, x.reshape(1, -1))[0]
-        diff = profiles - query_profile
+        query_profile = query_posteriors.reshape(-1)
+        diff = output_profiles(posteriors) - query_profile
         sq = np.einsum("ij,ij->i", diff, diff)
         picked = _smallest_k(sq, k)
         return Neighborhood(
-            query=x,
+            query=query_profile,
             indices=picked,
             distances=np.sqrt(sq[picked]),
             features=X[picked],

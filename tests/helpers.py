@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from streamdcs import Chunk, CompetenceContext, ValidationSet
+from streamdcs import Chunk, CompetenceContext, ValidationSet, member_posteriors
 from streamdcs.validation import Neighborhood
 
 
@@ -80,6 +80,14 @@ def make_validation(X, y, max_chunks=4):
     vs = ValidationSet(max_chunks)
     vs.push_chunk(make_chunk(X, y))
     return vs
+
+
+def profile_neighbors(vs, pool, x, k):
+    """vs.knn_output_profiles with the pool's posteriors computed afresh."""
+    query = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    return vs.knn_output_profiles(
+        member_posteriors(pool, vs.features), member_posteriors(pool, query)[:, 0], k
+    )
 
 
 def synth_posteriors(correctness, labels, n_classes, peak=0.9):

@@ -29,7 +29,7 @@ from streamdcs import (
 from streamdcs.cli import EXIT_OK, main
 
 import reference as ref
-from helpers import LinearSoftmaxClassifier, make_validation, random_context
+from helpers import LinearSoftmaxClassifier, make_validation, profile_neighbors, random_context
 from test_dcs import _reference_for
 from test_learners import separable_stream
 
@@ -95,7 +95,7 @@ def test_criterion_3_knn_exactness():
             pool = [
                 LinearSoftmaxClassifier(rng.normal(size=(dim, 2))) for _ in range(2)
             ]
-            got = vs.knn_output_profiles(pool, query, k).indices.tolist()
+            got = profile_neighbors(vs, pool, query, k).indices.tolist()
             profiles = [
                 ref.profile_of([m.predict_proba([row])[0].tolist() for m in pool])
                 for row in X

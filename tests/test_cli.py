@@ -174,6 +174,13 @@ class TestMain:
         assert main(fast_args(tmp_path, n="600", out=str(out))) == EXIT_RUNTIME
         assert "streamdcs:" in capsys.readouterr().err
 
+    def test_non_finite_csv_cell_exits_runtime(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("1,2,A\n3,4,B\nnan,5,A\n")
+        args = fast_args(tmp_path, stream="csv", **{"csv-path": str(data)})
+        assert main(args) == EXIT_RUNTIME
+        assert "row 3, column 1: non-finite" in capsys.readouterr().err
+
     def test_desdd_and_mde_run_end_to_end(self, tmp_path):
         for method in ("desdd", "mde"):
             out = tmp_path / f"{method}.csv"

@@ -9,6 +9,7 @@ from streamdcs import (
     OnlineBaggingEnsemble,
     hoeffding_bound,
 )
+from streamdcs.utils import as_feature_matrix
 
 from helpers import ConstantClassifier
 
@@ -264,3 +265,63 @@ class TestOnlineBagging:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             OnlineBaggingEnsemble([ConstantClassifier(0)], lam=-1.0)
+
+
+def oblique_stream(rng, n):
+    X = rng.normal(size=(n, 3))
+    y = (X[:, 0] + 0.5 * X[:, 1] > 0.2).astype(int)
+    return X, y
+
+
+def queries_with_nan(rng):
+    Q = rng.normal(size=(300, 3))
+    Q[7, 0] = np.nan
+    Q[11] = np.nan
+    return Q
+
+
+class TestBatchEquivalence:
+    """predict_proba over a batch equals row-by-row calls exactly. The stream
+    methods score their whole validation window in one call per member and
+    then read single rows from it, so they rely on this."""
+
+    def test_hoeffding_tree_with_splits(self, rng):
+        ht = HoeffdingTreeClassifier(grace_period=50)
+        ht.partial_fit(*oblique_stream(rng, 3000), n_classes=2)
+        assert ht.n_leaves >= 3
+        Q = queries_with_nan(rng)
+        batch = ht.predict_proba(Q)
+        assert np.array_equal(batch, np.vstack([ht.predict_proba(q) for q in Q]))
+        # Each row gets the distribution of the leaf that training routes
+        # it to; a NaN feature fails every <= test and goes right.
+        for q, proba in zip(Q, batch):
+            counts = ht._route(q)[0].class_counts
+            assert np.array_equal(proba, counts / counts.sum())
+
+    def test_naive_bayes(self, rng):
+        nb = GaussianNaiveBayes()
+        nb.partial_fit(*oblique_stream(rng, 500), n_classes=2)
+        Q = rng.normal(size=(300, 3))
+        assert np.array_equal(nb.predict_proba(Q), np.vstack([nb.predict_proba(q) for q in Q]))
+
+    def test_online_bagging(self, rng):
+        ens = OnlineBaggingEnsemble([GaussianNaiveBayes() for _ in range(4)], seed=3)
+        ens.partial_fit(*oblique_stream(rng, 200), n_classes=2)
+        Q = rng.normal(size=(300, 3))
+        proba = ens.predict_proba(Q)
+        assert np.array_equal(proba, np.vstack([ens.predict_proba(q) for q in Q]))
+        predictions = ens.predict(Q)
+        assert np.array_equal(predictions, proba.argmax(axis=1))
+        # Two-two splits are ties and go to class 0.
+        ties = proba[:, 0] == 0.5
+        assert ties.any() and not predictions[ties].any()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected(value):
+    X = np.ones((3, 2))
+    X[2, 1] = value
+    with pytest.raises(ValueError, match="row 2, column 1"):
+        as_feature_matrix(X)
+    with pytest.raises(ValueError, match="finite"):
+        GaussianNaiveBayes().partial_fit(X, [0, 1, 0], n_classes=2)

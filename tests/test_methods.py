@@ -9,9 +9,10 @@ from streamdcs import (
     Pool,
     RULES,
     SEAGenerator,
+    build_context,
 )
 
-from helpers import ConstantClassifier, TableClassifier, make_chunk
+from helpers import ConstantClassifier, LinearSoftmaxClassifier, TableClassifier, make_chunk
 
 
 def stream_arrays(seed, n, **kwargs):
@@ -103,6 +104,46 @@ class TestDynse:
         model.pool_.append(c1, 0)
         model.validation_.push_chunk(make_chunk([[0.0], [1.0], [2.0]], [0, 1, 0]))
         assert model.predict([[-1.0]])[0] == 1
+
+    @pytest.mark.parametrize("rule", ["ola", "knop"])
+    def test_predictions_follow_direct_pool_and_window_changes(self, rng, rule):
+        # The cached window posteriors must be rebuilt after a change to the
+        # pool or the window made behind the method's back.
+        model = DynseClassifier(dcs_rule=rule, chunk_size=20, k=5, window_chunks=2)
+        model.n_classes_ = 2
+        model.n_features_ = 3
+        model.pool_.append(LinearSoftmaxClassifier(rng.normal(size=(3, 2))), 0)
+        model.validation_.push_chunk(make_chunk(rng.normal(size=(20, 3)), rng.integers(0, 2, 20)))
+        queries = rng.normal(size=(200, 3))
+
+        def uncached():
+            return [
+                model._selector.select(
+                    build_context(
+                        model.pool_.learners,
+                        model.validation_,
+                        q,
+                        model.k,
+                        space=model._selector.neighborhood_space,
+                        n_classes=2,
+                    )
+                ).prediction
+                for q in queries
+            ]
+
+        seen = [uncached()]
+        assert model.predict(queries).tolist() == seen[-1]
+        for change in ("pool", "window", "pool", "window"):
+            if change == "pool":
+                member = LinearSoftmaxClassifier(rng.normal(size=(3, 2)))
+                model.pool_.append(member, len(seen))
+            else:
+                chunk = make_chunk(rng.normal(size=(20, 3)), rng.integers(0, 2, 20))
+                model.validation_.push_chunk(chunk)
+            seen.append(uncached())
+            assert model.predict(queries).tolist() == seen[-1], change
+        # Every change moved some prediction, so a stale cache would show.
+        assert all(a != b for a, b in zip(seen, seen[1:]))
 
     def test_single_member_pool_follows_member_for_every_rule(self):
         table = {(0.0,): [0.3, 0.7], (1.0,): [0.8, 0.2], (-1.0,): [0.2, 0.8]}

@@ -143,6 +143,13 @@ class TestCsvStream:
         with pytest.raises(StreamFormatError, match="row 1, column 2"):
             read_csv_stream(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "s.csv"
+        path.write_text(f"1,2,A\n3,{cell},B\n")
+        with pytest.raises(StreamFormatError, match="row 2, column 2: non-finite"):
+            read_csv_stream(path)
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("1,2,A\n3,4\n")

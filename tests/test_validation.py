@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from streamdcs import Chunk, NotReadyError, ValidationSet, output_profiles
+from streamdcs import Chunk, NotReadyError, ValidationSet, member_posteriors, output_profiles
 
-from helpers import ConstantClassifier, LinearSoftmaxClassifier, make_chunk, make_validation
+from helpers import (
+    ConstantClassifier,
+    LinearSoftmaxClassifier,
+    make_chunk,
+    make_validation,
+    profile_neighbors,
+)
 from reference import brute_knn_indices, profile_of
 
 
@@ -104,7 +110,7 @@ class TestProfileQuery:
     def test_identical_profiles_keep_insertion_order(self):
         vs = make_validation([[0.0], [1.0], [2.0]], [0, 0, 1])
         pool = [ConstantClassifier(0)]
-        neigh = vs.knn_output_profiles(pool, np.array([9.0]), 3)
+        neigh = profile_neighbors(vs, pool, np.array([9.0]), 3)
         assert neigh.indices.tolist() == [0, 1, 2]
         assert np.allclose(neigh.distances, 0.0)
 
@@ -117,7 +123,7 @@ class TestProfileQuery:
         ]
         for _ in range(10):
             q = rng.uniform(size=3)
-            neigh = vs.knn_output_profiles(pool, q, 3)
+            neigh = profile_neighbors(vs, pool, q, 3)
             profiles = [
                 profile_of([m.predict_proba([row])[0].tolist() for m in pool])
                 for row in X
@@ -132,7 +138,7 @@ class TestProfileQuery:
         X = rng.uniform(size=(10, 2))
         vs = make_validation(X, rng.integers(0, 2, 10))
         pool = [LinearSoftmaxClassifier(rng.normal(size=(2, 2)))]
-        neigh = vs.knn_output_profiles(pool, X[4], 3)
+        neigh = profile_neighbors(vs, pool, X[4], 3)
         assert neigh.indices[0] == 4
         assert neigh.distances[0] == 0.0
 
@@ -142,7 +148,7 @@ class TestProfileQuery:
             LinearSoftmaxClassifier(rng.normal(size=(2, 3))),
             LinearSoftmaxClassifier(rng.normal(size=(2, 3))),
         ]
-        profiles = output_profiles(pool, X)
+        profiles = output_profiles(member_posteriors(pool, X))
         assert profiles.shape == (20, 6)
         for start in (0, 3):
             assert np.allclose(profiles[:, start : start + 3].sum(axis=1), 1.0, atol=1e-9)
@@ -150,4 +156,4 @@ class TestProfileQuery:
     def test_empty_pool_not_ready(self):
         vs = make_validation([[0.0]], [0])
         with pytest.raises(NotReadyError):
-            vs.knn_output_profiles([], np.array([0.0]), 1)
+            vs.knn_output_profiles(np.empty((0, 1, 2)), np.empty((0, 2)), 1)
