@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .base import IncrementalClassifier
+from .base import IncrementalClassifier, repeat_rows
 from .naive_bayes import VARIANCE_FLOOR
 
 _SQRT2 = math.sqrt(2.0)
@@ -139,13 +139,17 @@ class HoeffdingTreeClassifier(IncrementalClassifier):
         # leaf totals plus this tally equal the instances ever fitted.
         self.retired_count_ = 0
 
-    def partial_fit(self, X, y, n_classes=None):
-        prepared = self._prepare_fit(X, y, n_classes)
-        if prepared is None:
-            return self
-        X, y = prepared
+    # Inherited, restated on the class because the benchmark's tracer
+    # (perfbench/spans.py) wraps HoeffdingTreeClassifier.partial_fit by name.
+    partial_fit = IncrementalClassifier.partial_fit
+
+    def _learn(self, X, y, weights):
+        """Learn each row as many times in a row as its weight says, so a
+        leaf that splits partway through a row's copies sends the rest of
+        them to its new children."""
         if self._root is None:
             self._root = _Leaf(self.n_classes_, self.n_features_)
+        X, y = repeat_rows(X, y, weights)
         for x, c in zip(X, y):
             leaf, parent, side = self._route(x)
             leaf.learn(x, c)
@@ -164,7 +168,6 @@ class HoeffdingTreeClassifier(IncrementalClassifier):
                         self._root = node
                     else:
                         setattr(parent, side, node)
-        return self
 
     def _route(self, x):
         node, parent, side = self._root, None, None

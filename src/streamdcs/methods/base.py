@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..streams import Chunk
-from ..utils import ParamsMixin, as_feature_matrix, as_label_vector
+from ..utils import FitValidationMixin, ParamsMixin, as_feature_matrix
 from ..validation import ValidationSet, member_posteriors
 
 
@@ -49,7 +49,7 @@ class Pool:
         self.version += 1
 
 
-class BaseStreamClassifier(ParamsMixin):
+class BaseStreamClassifier(ParamsMixin, FitValidationMixin):
     """partial_fit/predict contract shared by all stream methods.
 
     predict never raises on an untrained model: until the method is ready
@@ -63,18 +63,6 @@ class BaseStreamClassifier(ParamsMixin):
     @property
     def is_ready(self):
         return False
-
-    def _validate_fit(self, X, y, n_classes):
-        X = as_feature_matrix(X, self.n_features_)
-        y = as_label_vector(y, len(X))
-        if len(X) == 0:
-            return None
-        if self.n_classes_ is None:
-            self.n_classes_ = int(n_classes) if n_classes else int(y.max()) + 1
-        if self.n_features_ is None:
-            self.n_features_ = X.shape[1]
-        as_label_vector(y, len(X), self.n_classes_)
-        return X, y
 
     def partial_fit(self, X, y, n_classes=None):
         prepared = self._validate_fit(X, y, n_classes)

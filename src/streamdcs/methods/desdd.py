@@ -48,6 +48,10 @@ class DesddClassifier(BaseStreamClassifier):
         super().__init__()
         if n_subensembles < 1 or subensemble_size < 1:
             raise ValueError("ensemble dimensions must be positive")
+        if chunk_size < 1:
+            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+        if window_size is not None and window_size < 1:
+            raise ValueError(f"window_size must be positive or None, got {window_size}")
         self.n_subensembles = n_subensembles
         self.subensemble_size = subensemble_size
         self.learner_factory = learner_factory
@@ -68,7 +72,7 @@ class DesddClassifier(BaseStreamClassifier):
             for lam, child in zip(self.lambdas_, children)
         ]
         self.selected_index_ = 0
-        self._window = deque(maxlen=window_size if window_size else chunk_size)
+        self._window = deque(maxlen=chunk_size if window_size is None else window_size)
         self._seen = 0
         # Per-sub-ensemble count of instances delivered for training.
         self.instances_delivered_ = np.zeros(n_subensembles, dtype=np.int64)
@@ -77,15 +81,23 @@ class DesddClassifier(BaseStreamClassifier):
     def is_ready(self):
         return self._seen > 0
 
+    def _set_shape(self, n_classes, n_features):
+        super()._set_shape(n_classes, n_features)
+        for sub in self.subensembles_:
+            sub._set_shape(self.n_classes_, self.n_features_)
+
     def _learn_batch(self, X, y):
+        # X and y were validated once by partial_fit; the sub-ensembles and
+        # their members learn them without checking again.
         offset = 0
         while offset < len(X):
             boundary = self.chunk_size - (self._seen % self.chunk_size)
             take = min(boundary, len(X) - offset)
             seg_X, seg_y = X[offset : offset + take], y[offset : offset + take]
-            for i, sub in enumerate(self.subensembles_):
-                sub.partial_fit(seg_X, seg_y, n_classes=self.n_classes_)
-                self.instances_delivered_[i] += take
+            ones = np.ones(take, dtype=np.int64)
+            for sub in self.subensembles_:
+                sub._learn(seg_X, seg_y, ones)
+            self.instances_delivered_ += take
             for row, label in zip(seg_X, seg_y):
                 self._window.append((row, label))
             self._seen += take

@@ -1,5 +1,7 @@
 """Test doubles and randomized-context generation shared across test modules."""
 
+from collections import deque
+
 import numpy as np
 
 from streamdcs import Chunk, CompetenceContext, ValidationSet, member_posteriors
@@ -17,6 +19,14 @@ class ConstantClassifier:
     def partial_fit(self, X, y, n_classes=None):
         self.rows_trained += len(np.atleast_2d(X))
         return self
+
+    # The member hooks OnlineBaggingEnsemble calls: its class count is fixed
+    # at construction, and a row of weight k counts as k rows.
+    def _set_shape(self, n_classes, n_features):
+        pass
+
+    def _learn(self, X, y, weights):
+        self.rows_trained += int(weights.sum())
 
     def predict(self, X):
         return np.full(len(np.atleast_2d(X)), self.label, dtype=np.int64)
@@ -216,3 +226,28 @@ def random_context(rng, max_pool=5, max_k=7, max_classes=3):
         "n_classes": n_classes,
     }
     return ctx, raw
+
+
+def state_of(obj):
+    """Everything an object holds, recursively, as nested tuples that compare
+    with ==: arrays by dtype, shape and bytes, random generators by their
+    bit-generator state, classes and functions by identity."""
+    if isinstance(obj, np.ndarray):
+        return ("array", obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, np.random.Generator):
+        return ("generator", state_of(obj.bit_generator.state))
+    if isinstance(obj, np.random.SeedSequence):
+        return ("seed", obj.entropy, obj.spawn_key, obj.pool_size, obj.n_children_spawned)
+    if isinstance(obj, (list, tuple, deque)):
+        return (type(obj).__name__, tuple(state_of(v) for v in obj))
+    if isinstance(obj, dict):
+        return ("dict", tuple((k, state_of(v)) for k, v in sorted(obj.items())))
+    if isinstance(obj, type) or callable(obj):
+        return obj
+    if hasattr(obj, "__dict__"):
+        fields = vars(obj)
+    elif hasattr(obj, "__slots__"):
+        fields = {name: getattr(obj, name) for name in obj.__slots__}
+    else:
+        return obj
+    return (type(obj).__name__, tuple((k, state_of(v)) for k, v in sorted(fields.items())))

@@ -157,3 +157,20 @@ def knop_ref(correctness, query_preds, n_classes):
     # Same aggregation as KNORA-U; the neighborhood is located in profile
     # space before the correctness matrix is built.
     return knora_u_ref(correctness, query_preds, n_classes)
+
+
+def welford_moments(rows, labels, n_classes):
+    """Per-class counts, means and sums of squared deviations, one unweighted
+    Welford step per row: n += 1; delta = x - mean; mean += delta / n;
+    m2 += delta * (x - mean)."""
+    n_features = len(rows[0])
+    counts = [0.0] * n_classes
+    means = [[0.0] * n_features for _ in range(n_classes)]
+    m2s = [[0.0] * n_features for _ in range(n_classes)]
+    for row, c in zip(rows, labels):
+        counts[c] += 1.0
+        for j, x in enumerate(row):
+            delta = x - means[c][j]
+            means[c][j] += delta / counts[c]
+            m2s[c][j] += delta * (x - means[c][j])
+    return counts, means, m2s

@@ -233,6 +233,23 @@ class TestDesdd:
         model.partial_fit(X, y, n_classes=2)
         assert model.instances_delivered_.tolist() == [230, 230, 230]
 
+    @pytest.mark.parametrize(
+        "size, value",
+        [("chunk_size", 0), ("chunk_size", -5), ("window_size", 0), ("window_size", -1)],
+    )
+    def test_nonpositive_sizes_rejected_at_construction(self, size, value):
+        with pytest.raises(ValueError, match=size):
+            DesddClassifier(**{size: value})
+
+    def test_window_size_bounds_the_selection_window(self):
+        X, y = stream_arrays(8, 120)
+        model = DesddClassifier(
+            n_subensembles=2, subensemble_size=2, chunk_size=50, window_size=30, seed=0
+        )
+        model.partial_fit(X, y, n_classes=2)
+        assert len(model._window) == 30
+        assert DesddClassifier(chunk_size=40)._window.maxlen == 40
+
     def test_determinism(self):
         X, y = stream_arrays(7, 300)
 
