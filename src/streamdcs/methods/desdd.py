@@ -28,9 +28,9 @@ class DesddClassifier(BaseStreamClassifier):
     lambda_range : (float, float)
         Poisson rates are spaced evenly across this closed interval.
     chunk_size : int
-        Re-selection cadence in instances.
+        Re-selection cadence in instances; positive.
     window_size : int or None
-        Validation window length; defaults to chunk_size.
+        Validation window length, positive; defaults to chunk_size.
     seed : int or SeedSequence
         Drives all replication draws.
     """
