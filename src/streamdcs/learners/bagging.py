@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import IncrementalClassifier, repeat_rows
+from .naive_bayes import GaussianNaiveBayes, stacked_proba, welford_steps
 
 
 class OnlineBaggingEnsemble(IncrementalClassifier):
@@ -18,6 +19,19 @@ class OnlineBaggingEnsemble(IncrementalClassifier):
     and agrees with them to rounding in floating point, and the Hoeffding
     tree learns the k copies one after another. Prediction is the majority
     vote of the members, ties to the lowest class index.
+
+    When every member is a distinct ``GaussianNaiveBayes``, the ensemble
+    holds their moments in one stack, a ``(M, C)`` count array and two
+    ``(M, C, d)`` moment arrays allocated when the shape is fixed, and each
+    member's ``_counts``, ``_mean`` and ``_m2`` are views of its row. One
+    weighted Welford step then trains all M members per instance, and one
+    stacked likelihood votes them, with the same arithmetic as each member
+    alone. The members stay real learners: training one through its own
+    ``partial_fit`` updates the stack, and its ``predict_proba`` reads it.
+    Pickling copies each view on its own, so unpickling re-links the
+    members to the stack. Other members, such as Hoeffding trees, whose
+    state is a tree rather than fixed-size arrays, are trained and asked
+    one by one.
 
     Parameters
     ----------
@@ -40,6 +54,16 @@ class OnlineBaggingEnsemble(IncrementalClassifier):
         self.lam = float(lam)
         self.seed = seed
         self._rng = np.random.default_rng(seed)
+        self._stack = None  # (counts, mean, m2) of naive-Bayes members
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        if self._stack is not None:
+            self._bind_members()
+
+    def _bind_members(self):
+        for m, member in enumerate(self.members):
+            member._counts, member._mean, member._m2 = (a[m] for a in self._stack)
 
     # Inherited, restated on the class because the benchmark's tracer
     # (perfbench/spans.py) wraps OnlineBaggingEnsemble.partial_fit by name.
@@ -49,12 +73,22 @@ class OnlineBaggingEnsemble(IncrementalClassifier):
         super()._set_shape(n_classes, n_features)
         for member in self.members:
             member._set_shape(self.n_classes_, self.n_features_)
+        stackable = all(type(m) is GaussianNaiveBayes for m in self.members)
+        if stackable and len(set(map(id, self.members))) == len(self.members):
+            self._stack = tuple(
+                np.stack([getattr(m, name) for m in self.members])
+                for name in ("_counts", "_mean", "_m2")
+            )
+            self._bind_members()
 
     def _learn(self, X, y, weights):
         # A row of weight w is w instances, each with its own draws.
         X, y = repeat_rows(X, y, weights)
         # Row-major draw order: instance-major, member-minor.
         counts = self._rng.poisson(self.lam, size=(len(X), len(self.members)))
+        if self._stack is not None:
+            welford_steps(*self._stack, X, y, counts)
+            return
         for m, member in enumerate(self.members):
             member._learn(X, y, counts[:, m])
 
@@ -65,7 +99,10 @@ class OnlineBaggingEnsemble(IncrementalClassifier):
             X = X.reshape(1, -1)
         if self.n_classes_ is None:
             return self._uniform_proba(len(X))
-        votes = np.stack([m.predict(X) for m in self.members])  # (M, n)
+        if self._stack is not None:
+            votes = np.argmax(stacked_proba(*self._stack, X), axis=2)  # (M, n)
+        else:
+            votes = np.stack([m.predict(X) for m in self.members])
         counts = (votes[:, :, None] == np.arange(self.n_classes_)).sum(axis=0)
         return counts / len(self.members)
 

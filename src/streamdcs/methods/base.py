@@ -75,7 +75,7 @@ class BaseStreamClassifier(ParamsMixin, FitValidationMixin):
         raise NotImplementedError
 
     def predict(self, X):
-        X = as_feature_matrix(X)
+        X = as_feature_matrix(X, self.n_features_)
         if not self.is_ready:
             return np.zeros(len(X), dtype=np.int64)
         return np.array([self._predict_one(x) for x in X], dtype=np.int64)

@@ -78,6 +78,13 @@ class TestGaussianNaiveBayes:
         with pytest.raises(ValueError):
             nb.partial_fit([[1.0]], [0])
 
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_query_of_the_wrong_width_rejected(self, width):
+        nb = GaussianNaiveBayes().partial_fit([[1.0, 2.0, 3.0], [0.0, 1.0, 0.5]], [0, 1])
+        for method in (nb.predict_proba, nb.predict):
+            with pytest.raises(ValueError, match=f"expected 3, got {width}"):
+                method(np.zeros((2, width)))
+
     def test_label_out_of_range_rejected(self):
         nb = GaussianNaiveBayes(n_classes=2)
         with pytest.raises(ValueError):

@@ -5,12 +5,15 @@ from streamdcs import (
     DesddClassifier,
     DynseClassifier,
     GaussianNaiveBayes,
+    HoeffdingTreeClassifier,
     MdeClassifier,
     Pool,
     RULES,
     SEAGenerator,
     build_context,
 )
+
+from streamdcs.streams import DriftSchedule
 
 from helpers import ConstantClassifier, LinearSoftmaxClassifier, TableClassifier, make_chunk
 
@@ -365,3 +368,49 @@ class TestMde:
             return preds
 
         assert run() == run()
+
+
+def small_tree():
+    return HoeffdingTreeClassifier(grace_period=50)
+
+
+def fitted_methods(learner_factory, n=900):
+    """Each stream method over the given learner, fitted on a noisy SEA
+    stream with one drift, long enough to fill the pools."""
+    X, y = stream_arrays(21, n, schedule=DriftSchedule(((0, 0), (n // 2, 3))), noise_rate=0.1)
+    models = {
+        "dynse": DynseClassifier(learner_factory=learner_factory, chunk_size=100, max_pool_size=4),
+        "mde": MdeClassifier(learner_factory=learner_factory, chunk_size=100, max_pool_size=4),
+        "desdd": DesddClassifier(
+            n_subensembles=3,
+            subensemble_size=3,
+            learner_factory=learner_factory,
+            chunk_size=100,
+            seed=4,
+        ),
+    }
+    return {name: model.partial_fit(X, y, n_classes=2) for name, model in models.items()}
+
+
+LEARNERS = {"naive-bayes": GaussianNaiveBayes, "hoeffding-tree": small_tree}
+
+
+@pytest.mark.parametrize("learner", sorted(LEARNERS))
+def test_batch_predictions_equal_row_by_row(learner, rng):
+    Q = rng.uniform(0.0, 10.0, size=(150, 3))
+    for name, model in fitted_methods(LEARNERS[learner]).items():
+        batch = model.predict(Q)
+        assert np.array_equal(batch, [model.predict(q[None, :])[0] for q in Q]), name
+        if name == "desdd":
+            # The window re-selection votes each sub-ensemble over a batch.
+            for sub in model.subensembles_:
+                rows = np.vstack([sub.predict_proba(q) for q in Q])
+                assert np.array_equal(sub.predict_proba(Q), rows)
+
+
+@pytest.mark.parametrize("learner", sorted(LEARNERS))
+@pytest.mark.parametrize("width", [1, 4])
+def test_query_of_the_wrong_width_rejected(learner, width):
+    for name, model in fitted_methods(LEARNERS[learner], n=300).items():
+        with pytest.raises(ValueError, match=f"expected 3, got {width}"):
+            model.predict(np.zeros((2, width)))
