@@ -4,8 +4,8 @@ reproduce byte for byte.
 Each ``tests/golden/<name>.csv.meta`` is the sidecar the CLI wrote next to
 ``<name>.csv``; replayed as a config file from inside ``tests/golden/`` it
 rewrites both files. The accuracy-pruning case, which the CLI does not
-expose, and two DESDD runs finer than the CLI's six-decimal report pin
-the prediction vectors of test-then-train runs instead. A change
+expose, and the DESDD and MDE runs finer than the CLI's six-decimal
+report pin the prediction vectors of test-then-train runs instead. A change
 that alters numerics on purpose re-pins these files in a commit of its own
 and says why in ``CHANGES.md``:
 
@@ -14,6 +14,7 @@ and says why in ``CHANGES.md``:
 """
 
 import shutil
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from streamdcs import (
     DynseClassifier,
     GaussianNaiveBayes,
     HoeffdingTreeClassifier,
+    MdeClassifier,
     SEAGenerator,
 )
 from streamdcs.cli import EXIT_OK, main
@@ -35,6 +37,10 @@ PRUNING_PREDICTIONS = GOLDEN / "dynse-accuracy-pruning-ht.txt"
 DESDD_PREDICTIONS = {
     "nb": GOLDEN / "desdd-predictions-nb.txt",
     "ht": GOLDEN / "desdd-predictions-ht.txt",
+}
+MDE_PREDICTIONS = {
+    "nb": GOLDEN / "mde-predictions-nb.txt",
+    "ht": GOLDEN / "mde-predictions-ht.txt",
 }
 
 
@@ -115,6 +121,33 @@ def desdd_predictions(learner):
     return prequential_predictions(stream, model, 1200)
 
 
+def mde_predictions(learner):
+    """Test-then-train predictions of MDE on an imbalanced SEA stream (25 %
+    minority on concept 2, then 45 % on concept 3) with 5 % label noise. The
+    chunks are small, so G-mean eviction runs at most boundaries; the trees
+    split every 20 instances at a loose tie threshold, so they are not
+    stumps whose G-mean is 0."""
+    if learner == "nb":
+        stream = SEAGenerator(seed=44, schedule=DriftSchedule(((0, 2), (1500, 3))), noise_rate=0.05)
+        model = MdeClassifier(
+            learner_factory=GaussianNaiveBayes,
+            chunk_size=100,
+            max_pool_size=5,
+            k=5,
+            window_chunks=2,
+        )
+        return prequential_predictions(stream, model, 3000), model.pool_.births
+    stream = SEAGenerator(seed=43, schedule=DriftSchedule(((0, 2), (2000, 3))), noise_rate=0.05)
+    model = MdeClassifier(
+        learner_factory=partial(HoeffdingTreeClassifier, grace_period=20, tie_threshold=0.5),
+        chunk_size=200,
+        max_pool_size=4,
+        k=7,
+        window_chunks=3,
+    )
+    return prequential_predictions(stream, model, 4000), model.pool_.births
+
+
 def test_accuracy_pruning_predictions_pinned():
     predictions, births = accuracy_pruning_predictions()
     assert predictions + "\n" == PRUNING_PREDICTIONS.read_text(encoding="utf-8")
@@ -128,7 +161,17 @@ def test_desdd_predictions_pinned(learner):
     assert desdd_predictions(learner) + "\n" == expected
 
 
+@pytest.mark.parametrize("learner", sorted(MDE_PREDICTIONS))
+def test_mde_predictions_pinned(learner):
+    predictions, births = mde_predictions(learner)
+    assert predictions + "\n" == MDE_PREDICTIONS[learner].read_text(encoding="utf-8")
+    # Evicting by age would keep the newest members only.
+    assert births != list(range(births[-1] - len(births) + 1, births[-1] + 1))
+
+
 if __name__ == "__main__":
     PRUNING_PREDICTIONS.write_text(accuracy_pruning_predictions()[0] + "\n", encoding="utf-8")
     for learner, path in DESDD_PREDICTIONS.items():
         path.write_text(desdd_predictions(learner) + "\n", encoding="utf-8")
+    for learner, path in MDE_PREDICTIONS.items():
+        path.write_text(mde_predictions(learner)[0] + "\n", encoding="utf-8")
