@@ -39,6 +39,7 @@ from .dcs import (
     LCA,
     MCB,
     OLA,
+    MDEVote,
     SelectionResult,
     build_context,
     make_rule,
@@ -92,6 +93,7 @@ __all__ = [
     "LCA",
     "MCB",
     "OLA",
+    "MDEVote",
     "SelectionResult",
     "build_context",
     "make_rule",

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -14,53 +15,10 @@ from . import __version__
 from .dcs import RULES
 from .evaluation import prequential_run
 from .learners import GaussianNaiveBayes, HoeffdingTreeClassifier
-from .methods import DesddClassifier, DynseClassifier, MdeClassifier
+from .methods import METHODS
 from .streams import SEA_THRESHOLDS, CSVStream, DriftSchedule, SEAGenerator
 
 LEARNERS = {"nb": GaussianNaiveBayes, "ht": HoeffdingTreeClassifier}
-
-DEFAULTS = {
-    "stream": "sea",
-    "csv_path": "",
-    "label_column": "last",
-    "header": "false",
-    "drift": "0:0",
-    "noise": "0.0",
-    "method": "dynse",
-    "dcs": "knora-e",
-    "learner": "ht",
-    "chunk_size": "1000",
-    "pool_size": "10",
-    "k": "7",
-    "val_window": "4",
-    "n": "20000",
-    "alpha": "0.999",
-    "metric_window": "500",
-    "checkpoint_every": "500",
-}
-
-# Order of keys in config files and metadata sidecars.
-CONFIG_KEYS = [
-    "stream",
-    "csv_path",
-    "label_column",
-    "header",
-    "drift",
-    "noise",
-    "method",
-    "dcs",
-    "learner",
-    "chunk_size",
-    "pool_size",
-    "k",
-    "val_window",
-    "seed",
-    "n",
-    "out",
-    "alpha",
-    "metric_window",
-    "checkpoint_every",
-]
 
 # Keys a metadata sidecar adds beyond the config; accepted and ignored on
 # input so a sidecar can be replayed as a config file.
@@ -77,51 +35,98 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.problems))
 
 
-@dataclass
-class ExperimentConfig:
-    stream: str
-    csv_path: str
-    label_column: str
-    header: bool
-    drift: DriftSchedule
-    noise: float
-    method: str
-    dcs: str
-    learner: str
-    chunk_size: int
-    pool_size: int
-    k: int
-    val_window: int
-    seed: int
-    n: int
-    out: str
-    alpha: float
-    metric_window: int
-    checkpoint_every: int
+def _integer(minimum=1):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"must be an integer, got {text!r}") from None
+        if value < minimum:
+            raise ValueError(f"must be >= {minimum}, got {value}")
+        return value
 
-    def to_text_values(self):
-        values = {
-            "stream": self.stream,
-            "csv_path": self.csv_path,
-            "label_column": self.label_column,
-            "header": "true" if self.header else "false",
-            "drift": ",".join(f"{s}:{c}" for s, c in self.drift.segments),
-            "noise": repr(self.noise),
-            "method": self.method,
-            "dcs": self.dcs,
-            "learner": self.learner,
-            "chunk_size": str(self.chunk_size),
-            "pool_size": str(self.pool_size),
-            "k": str(self.k),
-            "val_window": str(self.val_window),
-            "seed": str(self.seed),
-            "n": str(self.n),
-            "out": self.out,
-            "alpha": repr(self.alpha),
-            "metric_window": str(self.metric_window),
-            "checkpoint_every": str(self.checkpoint_every),
-        }
-        return values
+    return parse
+
+
+def _real(low, high, low_open=False):
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"must be a real, got {text!r}") from None
+        if not ((low < value if low_open else low <= value) and value <= high):
+            bracket = "(" if low_open else "["
+            raise ValueError(f"must be in {bracket}{low}, {high}], got {value}")
+        return value
+
+    return parse
+
+
+def _label_column(text):
+    try:
+        return text if text == "last" else int(text)
+    except ValueError:
+        raise ValueError(f"must be an integer or 'last', got {text!r}") from None
+
+
+def _drift(text):
+    try:
+        return DriftSchedule.parse(text)
+    except ValueError as exc:
+        raise ValueError(f"must be a schedule 'start:concept,...': {exc}") from None
+
+
+class Field(NamedTuple):
+    key: str
+    default: str | None  # text as in a config file; None when required
+    parse: Callable  # text -> value; raises ValueError saying what is wrong
+    format: Callable  # value -> text, so that parse(format(v)) == v
+    choices: tuple[str, ...] | None
+    help: str
+
+
+def _schedule_text(schedule):
+    return ",".join(f"{start}:{concept}" for start, concept in schedule.segments)
+
+
+_CONCEPTS = f"0..{len(SEA_THRESHOLDS) - 1}"
+
+#: Every config key, in the order of config files and metadata sidecars.
+FIELDS = (
+    Field("stream", "sea", str, str, ("sea", "csv"), "stream source"),
+    Field("csv_path", "", str, str, None, "input file for --stream csv"),
+    Field("label_column", "last", _label_column, str, None, "0-based label column or 'last'"),
+    Field("header", "false", str, str, ("true", "false"), "skip a header row"),
+    Field(
+        "drift", "0:0", _drift, _schedule_text, None,
+        f"abrupt concept schedule 'start:concept,...'; SEA concepts {_CONCEPTS}",
+    ),
+    Field("noise", "0.0", _real(0.0, 1.0), repr, None, "SEA label-flip probability in [0,1]"),
+    Field("method", "dynse", str, str, tuple(METHODS), "stream method"),
+    Field(
+        "dcs", "knora-e", str, str, tuple(sorted(RULES)),
+        "selection rule for dynse (invalid with desdd and mde)",
+    ),
+    Field("learner", "ht", str, str, tuple(LEARNERS), "base learner"),
+    Field("chunk_size", "1000", _integer(), str, None, "instances per chunk"),
+    Field(
+        "pool_size", "10", _integer(), str, None,
+        "pool bound (dynse, mde) or sub-ensemble count (desdd)",
+    ),
+    Field("k", "7", _integer(), str, None, "region-of-competence size"),
+    Field("val_window", "4", _integer(), str, None, "validation window length in chunks"),
+    Field("seed", None, _integer(0), str, None, "PRNG seed >= 0; never defaulted"),
+    Field("n", "20000", _integer(), str, None, "instance budget"),
+    Field("out", None, str, str, None, "report CSV path"),
+    Field("alpha", "0.999", _real(0.0, 1.0, low_open=True), repr, None, "fading factor in (0,1]"),
+    Field("metric_window", "500", _integer(), str, None, "sliding accuracy window in instances"),
+    Field("checkpoint_every", "500", _integer(), str, None, "report row cadence in instances"),
+)
+BY_KEY = {field.key: field for field in FIELDS}
+
+
+class ExperimentConfig(SimpleNamespace):
+    """A validated configuration: one parsed attribute per FIELDS key."""
 
 
 def _build_parser():
@@ -133,51 +138,18 @@ def _build_parser():
             "resolved configuration."
         ),
     )
-    add = parser.add_argument
-    add("--config", help="key=value config file; flags override file values")
-    add("--stream", choices=["sea", "csv"], help="stream source (default: sea)")
-    add("--csv-path", dest="csv_path", help="input file for --stream csv")
-    add(
-        "--label-column",
-        dest="label_column",
-        help="0-based label column index or 'last' (default: last)",
-    )
-    add("--header", choices=["true", "false"], help="skip a header row (default: false)")
-    add(
-        "--drift",
-        help="abrupt concept schedule 'start:concept,...' (default: 0:0; "
-        f"concepts 0..{len(SEA_THRESHOLDS) - 1})",
-    )
-    add("--noise", help="SEA label-flip probability in [0,1] (default: 0.0)")
-    add("--method", choices=["dynse", "desdd", "mde"], help="stream method (default: dynse)")
-    add(
-        "--dcs",
-        choices=sorted(RULES),
-        help="selection rule for dynse/mde (default: knora-e; invalid with desdd)",
-    )
-    add("--learner", choices=["nb", "ht"], help="base learner (default: ht)")
-    add("--chunk-size", dest="chunk_size", help="instances per chunk (default: 1000)")
-    add("--pool-size", dest="pool_size", help="max ensemble size (default: 10)")
-    add("--k", help="region-of-competence size (default: 7)")
-    add(
-        "--val-window",
-        dest="val_window",
-        help="validation window length in chunks (default: 4)",
-    )
-    add("--seed", help="PRNG seed (required; never defaulted)")
-    add("--n", help="instance budget (default: 20000)")
-    add("--out", help="report CSV path (required)")
-    add("--alpha", help="fading factor in (0,1] (default: 0.999)")
-    add(
-        "--metric-window",
-        dest="metric_window",
-        help="sliding accuracy window in instances (default: 500)",
-    )
-    add(
-        "--checkpoint-every",
-        dest="checkpoint_every",
-        help="report row cadence in instances (default: 500)",
-    )
+    parser.add_argument("--config", help="key=value config file; flags override file values")
+    for field in FIELDS:
+        if field.default is None:
+            note = " (required)"
+        else:
+            note = f" (default: {field.default})" if field.default else ""
+        parser.add_argument(
+            "--" + field.key.replace("_", "-"),
+            dest=field.key,
+            choices=field.choices,
+            help=field.help + note,
+        )
     return parser
 
 
@@ -199,7 +171,7 @@ def _read_config_file(path):
         key = key.strip()
         if key in RESERVED_KEYS:
             continue
-        if key not in CONFIG_KEYS:
+        if key not in BY_KEY:
             unknown.append(key)
             continue
         values[key] = value.strip()
@@ -210,156 +182,64 @@ def _read_config_file(path):
 
 def parse_config(argv):
     """Merge flags over an optional config file into a validated config."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
-    raw = {}
-    if args.config:
-        raw.update(_read_config_file(args.config))
-    explicit = set(raw)
-    for key in CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            raw[key] = value
-            explicit.add(key)
+    args = _build_parser().parse_args(argv)
+    raw = _read_config_file(args.config) if args.config else {}
+    raw.update({k: v for k, v in vars(args).items() if k in BY_KEY and v is not None})
 
     problems = []
+    values = {}
+    for field in FIELDS:
+        text = raw.get(field.key, field.default)
+        if text is None:
+            problems.append(f"{field.key} is required")
+        elif field.choices is not None and text not in field.choices:
+            problems.append(f"{field.key} must be one of {sorted(field.choices)}, got {text!r}")
+        else:
+            try:
+                values[field.key] = field.parse(text)
+            except ValueError as exc:
+                problems.append(f"{field.key} {exc}")
 
-    def _take_int(key, minimum=1):
-        try:
-            value = int(raw[key])
-        except ValueError:
-            problems.append(f"{key} must be an integer, got {raw[key]!r}")
-            return minimum
-        if value < minimum:
-            problems.append(f"{key} must be >= {minimum}, got {value}")
-        return value
-
-    def _take_float(key, low, high, low_open=False):
-        try:
-            value = float(raw[key])
-        except ValueError:
-            problems.append(f"{key} must be a real, got {raw[key]!r}")
-            return high
-        inside = (low < value if low_open else low <= value) and value <= high
-        if not inside:
-            bracket = "(" if low_open else "["
-            problems.append(f"{key} must be in {bracket}{low}, {high}], got {value}")
-        return value
-
-    if "seed" not in raw:
-        problems.append("seed is required (reproducibility is not optional)")
-        raw["seed"] = "0"
-    if "out" not in raw:
-        problems.append("out is required")
-        raw["out"] = ""
-    for key, default in DEFAULTS.items():
-        raw.setdefault(key, default)
-
-    for key in ("stream", "method", "learner", "dcs", "header"):
-        allowed = {
-            "stream": ("sea", "csv"),
-            "method": ("dynse", "desdd", "mde"),
-            "learner": tuple(LEARNERS),
-            "dcs": tuple(RULES),
-            "header": ("true", "false"),
-        }[key]
-        if raw[key] not in allowed:
-            problems.append(f"{key} must be one of {sorted(allowed)}, got {raw[key]!r}")
-            raw[key] = allowed[0]
-
-    # A DESDD sidecar records the default rule, so it must replay.
-    if raw["method"] == "desdd" and "dcs" in explicit and raw["dcs"] != DEFAULTS["dcs"]:
-        problems.append("dcs is not applicable to method desdd")
-
-    drift = DriftSchedule()
-    try:
-        drift = DriftSchedule.parse(raw["drift"])
-    except ValueError as exc:
-        problems.append(str(exc))
-    if raw["stream"] == "sea":
-        for _, concept in drift.segments:
+    # The three checks that span keys. A sidecar of a method without a rule
+    # records the default rule, so only a non-default one is rejected.
+    method = values.get("method")
+    has_rule = method is None or "dcs_rule" in METHODS[method]._param_names()
+    if not has_rule and values.get("dcs") != BY_KEY["dcs"].default:
+        problems.append(f"dcs is not applicable to method {method}")
+    if values.get("stream") == "sea" and "drift" in values:
+        for _, concept in values["drift"].segments:
             if not 0 <= concept < len(SEA_THRESHOLDS):
-                problems.append(
-                    f"drift concept {concept} outside 0..{len(SEA_THRESHOLDS) - 1}"
-                )
-    if raw["stream"] == "csv" and not raw["csv_path"]:
+                problems.append(f"drift concept {concept} outside {_CONCEPTS}")
+    if values.get("stream") == "csv" and not values.get("csv_path"):
         problems.append("csv_path is required for stream csv")
-    if raw["label_column"] != "last":
-        try:
-            int(raw["label_column"])
-        except ValueError:
-            problems.append(
-                f"label_column must be an integer or 'last', got {raw['label_column']!r}"
-            )
-
-    config = ExperimentConfig(
-        stream=raw["stream"],
-        csv_path=raw["csv_path"],
-        label_column=raw["label_column"],
-        header=raw["header"] == "true",
-        drift=drift,
-        noise=_take_float("noise", 0.0, 1.0),
-        method=raw["method"],
-        dcs=raw["dcs"],
-        learner=raw["learner"],
-        chunk_size=_take_int("chunk_size"),
-        pool_size=_take_int("pool_size"),
-        k=_take_int("k"),
-        val_window=_take_int("val_window"),
-        seed=_take_int("seed", minimum=-(2**62)),
-        n=_take_int("n"),
-        out=raw["out"],
-        alpha=_take_float("alpha", 0.0, 1.0, low_open=True),
-        metric_window=_take_int("metric_window"),
-        checkpoint_every=_take_int("checkpoint_every"),
-    )
     if problems:
         raise ConfigError(problems)
-    return config
+    return ExperimentConfig(**values)
 
 
 def build_components(config):
     """Instantiate the stream and the method described by a config."""
     stream_seed, model_seed = np.random.SeedSequence(config.seed).spawn(2)
     if config.stream == "sea":
-        stream = SEAGenerator(
-            seed=stream_seed, schedule=config.drift, noise_rate=config.noise
-        )
+        stream = SEAGenerator(seed=stream_seed, schedule=config.drift, noise_rate=config.noise)
     else:
-        label_column = (
-            config.label_column
-            if config.label_column == "last"
-            else int(config.label_column)
-        )
         stream = CSVStream(
-            config.csv_path, label_column=label_column, header=config.header
+            config.csv_path, label_column=config.label_column, header=config.header == "true"
         )
-    factory = LEARNERS[config.learner]
-    if config.method == "dynse":
-        model = DynseClassifier(
-            learner_factory=factory,
-            dcs_rule=config.dcs,
-            chunk_size=config.chunk_size,
-            max_pool_size=config.pool_size,
-            k=config.k,
-            window_chunks=config.val_window,
-        )
-    elif config.method == "mde":
-        model = MdeClassifier(
-            learner_factory=factory,
-            chunk_size=config.chunk_size,
-            max_pool_size=config.pool_size,
-            k=config.k,
-            window_chunks=config.val_window,
-        )
-    else:
-        model = DesddClassifier(
-            n_subensembles=config.pool_size,
-            learner_factory=factory,
-            chunk_size=config.chunk_size,
-            seed=model_seed,
-        )
+    method = METHODS[config.method]
+    # Each method takes the parameters it names; pool_size bounds a DYNSE or
+    # MDE pool and counts DESDD's sub-ensembles.
+    offered = {
+        "learner_factory": LEARNERS[config.learner],
+        "dcs_rule": config.dcs,
+        "chunk_size": config.chunk_size,
+        "max_pool_size": config.pool_size,
+        "n_subensembles": config.pool_size,
+        "k": config.k,
+        "window_chunks": config.val_window,
+        "seed": model_seed,
+    }
+    model = method(**{name: offered[name] for name in method._param_names() if name in offered})
     return stream, model
 
 
@@ -380,8 +260,7 @@ def run_experiment(config):
 
 
 def _write_metadata(config, report):
-    values = config.to_text_values()
-    lines = [f"{key}={values[key]}" for key in CONFIG_KEYS]
+    lines = [f"{f.key}={f.format(getattr(config, f.key))}" for f in FIELDS]
     lines.append(f"version={__version__}")
     lines.append(f"truncated={'true' if report.truncated else 'false'}")
     with open(config.out + ".meta", "w", encoding="utf-8", newline="\n") as fh:

@@ -6,11 +6,11 @@ from .base import (
     build_context,
     distance_weights,
 )
-from .knora import KNOP, KNORAE, KNORAU
+from .knora import KNOP, KNORAE, KNORAU, MDEVote
 from .local import LCA, MCB, OLA, DCSRank
 from .probabilistic import APosteriori, APriori
 
-#: CLI-facing rule identifiers.
+#: CLI-facing rule identifiers. MDEVote is MDE's own rule, not a choice.
 RULES = {
     "knora-e": KNORAE,
     "knora-u": KNORAU,
@@ -44,6 +44,7 @@ __all__ = [
     "KNORAE",
     "KNORAU",
     "KNOP",
+    "MDEVote",
     "OLA",
     "LCA",
     "MCB",

@@ -87,7 +87,7 @@ class DCSRule(ParamsMixin):
 
 
 def build_context(
-    learners, validation_set, x, k, space="feature", n_classes=None, posteriors=None
+    learners, validation_set, x, k, space="feature", n_classes=None, posteriors=None, where=None
 ):
     """Assemble the competence context for one query.
 
@@ -96,7 +96,9 @@ def build_context(
     are read from it by index, and only the query itself is passed through
     the members (one predict_proba call each). The stream methods cache the
     tensor per pool and window state; when it is omitted it is computed
-    here.
+    here. where, a boolean mask over the flat view, restricts a
+    feature-space search to its rows (see ValidationSet.knn_query); when it
+    matches no row, the neighborhood is empty.
     """
     learners = list(learners)
     if not learners:
@@ -110,7 +112,7 @@ def build_context(
     x = np.asarray(x, dtype=np.float64).ravel()
     query_posteriors = np.vstack([m.predict_proba(x.reshape(1, -1)) for m in learners])
     if space == "feature":
-        neighborhood = validation_set.knn_query(x, k)
+        neighborhood = validation_set.knn_query(x, k, where=where)
     else:
         neighborhood = validation_set.knn_output_profiles(posteriors, query_posteriors, k)
 

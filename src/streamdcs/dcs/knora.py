@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..utils import majority_vote
@@ -61,3 +63,27 @@ class KNOP(KNORAU):
     located in output-profile space rather than feature space."""
 
     neighborhood_space = "profile"
+
+
+class MDEVote(DCSRule):
+    """The selection of MDE (minority-driven ensemble).
+
+    Members that classify at least ceil(k / 2) of the neighbors correctly
+    decide the query by majority vote; with none, or with no neighbor at
+    all, the whole pool votes. k is the requested neighborhood size, so a
+    neighborhood clamped below it raises the bar for every member alike.
+    """
+
+    def __init__(self, k=7):
+        self.k = k
+
+    def select(self, ctx):
+        correct = ctx.correctness.sum(axis=1)
+        competent = np.flatnonzero(correct >= math.ceil(self.k / 2))
+        if not len(competent):
+            return self._fallback(ctx, n_neighbors_used=len(ctx.neighborhood))
+        return SelectionResult(
+            selected=tuple(int(i) for i in competent),
+            prediction=majority_vote(ctx.query_predictions[competent], ctx.n_classes),
+            n_neighbors_used=len(ctx.neighborhood),
+        )

@@ -91,6 +91,12 @@ class ChunkedStreamClassifier(BaseStreamClassifier):
     recent chunks, plus the members' posteriors over that window. A member
     is frozen once pooled, so the posteriors change only with the pool or
     the window, and each state is scored once rather than once per query.
+
+    Each full chunk trains a fresh member from ``learner_factory``, which
+    joins the pool; then every member is scored by ``_member_scores``, the
+    lowest score leaves if the pool overflows (ties to the oldest), and the
+    chunk slides into the window. ``scores_`` keeps the surviving members'
+    scores from the last boundary.
     """
 
     def __init__(self, chunk_size, max_pool_size, window_chunks):
@@ -104,6 +110,7 @@ class ChunkedStreamClassifier(BaseStreamClassifier):
         self.validation_ = ValidationSet(window_chunks)
         self._posteriors = None
         self._posteriors_state = None
+        self.scores_ = []
 
     @property
     def is_ready(self):
@@ -130,4 +137,18 @@ class ChunkedStreamClassifier(BaseStreamClassifier):
                 self._buffer = Chunk(self._buffer.capacity)
 
     def _on_chunk(self, chunk):
+        learner = self.learner_factory()
+        learner.partial_fit(chunk.features, chunk.labels, n_classes=self.n_classes_)
+        self.pool_.append(learner, self._chunk_index)
+        self.learners_created += 1
+        self.scores_ = list(self._member_scores(chunk))
+        if self.pool_.over_capacity:
+            victim = int(np.argmin(self.scores_))
+            self.pool_.evict(victim)
+            self.scores_.pop(victim)
+        self.validation_.push_chunk(chunk)
+
+    def _member_scores(self, chunk):
+        """One score per pooled member, oldest first, given the new chunk
+        before it enters the window."""
         raise NotImplementedError

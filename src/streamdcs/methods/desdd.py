@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from copy import copy
 
 import numpy as np
 
@@ -62,7 +63,9 @@ class DesddClassifier(BaseStreamClassifier):
 
         self.lambdas_ = np.linspace(lambda_range[0], lambda_range[1], n_subensembles)
         entropy = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        children = entropy.spawn(n_subensembles)
+        # Spawned from a copy, so a caller's SeedSequence is left as it was,
+        # and a model rebuilt from get_params() draws the same children.
+        children = copy(entropy).spawn(n_subensembles)
         self.subensembles_ = [
             OnlineBaggingEnsemble(
                 [learner_factory() for _ in range(subensemble_size)],

@@ -32,9 +32,9 @@ class DynseClassifier(ChunkedStreamClassifier):
     window_chunks : int
         Chunks retained in the validation window.
     pruning : {"age", "accuracy"}
-        Eviction policy when the pool overflows: drop the oldest member, or
-        the member with the lowest accuracy on the current validation set
-        (ties to the oldest).
+        How members are scored for eviction when the pool overflows: by
+        birth, so the oldest leaves, or by accuracy on the validation window
+        before the new chunk joins it (ties to the oldest).
     """
 
     def __init__(
@@ -59,21 +59,16 @@ class DynseClassifier(ChunkedStreamClassifier):
         self.pruning = pruning
         self._selector = dcs_rule if isinstance(dcs_rule, DCSRule) else make_rule(dcs_rule)
 
-    def _on_chunk(self, chunk):
-        learner = self.learner_factory()
-        learner.partial_fit(chunk.features, chunk.labels, n_classes=self.n_classes_)
-        self.pool_.append(learner, self._chunk_index)
-        self.learners_created += 1
-        if self.pool_.over_capacity:
-            self.pool_.evict(self._victim_position())
-        self.validation_.push_chunk(chunk)
+    def _member_scores(self, chunk):
+        # A window is empty only at the first chunk, which cannot overflow.
+        if self.pruning == "accuracy" and len(self.validation_):
+            predictions = self._window_posteriors().argmax(axis=2)
+            return np.mean(predictions == self.validation_.labels, axis=1)
+        return self.pool_.births
 
-    def _victim_position(self):
-        if self.pruning == "age":
-            return 0
-        predictions = self._window_posteriors().argmax(axis=2)
-        accuracies = np.mean(predictions == self.validation_.labels, axis=1)
-        return int(np.argmin(accuracies))
+    def _query_rows(self):
+        """Mask of the window rows a query searches; None searches them all."""
+        return None
 
     def _predict_one(self, x):
         ctx = build_context(
@@ -84,5 +79,6 @@ class DynseClassifier(ChunkedStreamClassifier):
             space=self._selector.neighborhood_space,
             n_classes=self.n_classes_,
             posteriors=self._window_posteriors(),
+            where=self._query_rows(),
         )
         return self._selector.select(ctx).prediction

@@ -100,11 +100,16 @@ class ParamsMixin:
         return {name: getattr(self, name) for name in self._param_names()}
 
     def set_params(self, **params):
+        """Restart the object as a fresh construction from its parameters
+        with these ones replaced: learned state is dropped, and whatever the
+        constructor derives from a parameter follows the new value. A
+        rejected name or value raises and leaves the object as it was."""
         valid = set(self._param_names())
-        for name, value in params.items():
+        for name in params:
             if name not in valid:
                 raise ValueError(
                     f"invalid parameter {name!r} for {type(self).__name__}"
                 )
-            setattr(self, name, value)
+        fresh = type(self)(**{**self.get_params(), **params})
+        self.__dict__ = fresh.__dict__
         return self

@@ -119,7 +119,8 @@ class ValidationSet:
         """k nearest instances to x by Euclidean distance in feature space.
 
         where, if given, is a boolean mask restricting the searchable rows
-        of the flat view. k is clamped to the number of searchable rows.
+        of the flat view. k is clamped to the number of searchable rows, so
+        an all-false mask gives an empty neighborhood.
         """
         if len(self) == 0:
             raise NotReadyError("validation set is empty")
@@ -128,8 +129,6 @@ class ValidationSet:
         X, y = self._flatten()
         rows = np.flatnonzero(where) if where is not None else None
         pool_X = X[rows] if rows is not None else X
-        if len(pool_X) == 0:
-            raise NotReadyError("no validation instances match the query filter")
         x = np.asarray(x, dtype=np.float64).ravel()
         diff = pool_X - x
         sq = np.einsum("ij,ij->i", diff, diff)

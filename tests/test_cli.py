@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from streamdcs.cli import (
+    BY_KEY,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
+    FIELDS,
+    METHODS,
     ConfigError,
     build_components,
     main,
@@ -53,6 +56,25 @@ class TestParseConfig:
     def test_dcs_rejected_for_desdd(self, tmp_path):
         with pytest.raises(ConfigError, match="desdd"):
             parse_config(fast_args(tmp_path, method="desdd", dcs="ola"))
+
+    def test_dcs_rejected_for_mde(self, tmp_path, capsys):
+        args = fast_args(tmp_path, method="mde", dcs="ola")
+        with pytest.raises(ConfigError, match="dcs is not applicable to method mde"):
+            parse_config(args)
+        assert main(args) == EXIT_CONFIG
+        assert not (tmp_path / "r.csv.meta").exists()
+
+    def test_default_dcs_replays_for_mde(self, tmp_path):
+        # MDE sidecars record the default rule.
+        config = parse_config(fast_args(tmp_path, method="mde", dcs="knora-e"))
+        assert config.method == "mde"
+
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        args = fast_args(tmp_path, seed="-1")
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            parse_config(args)
+        assert main(args) == EXIT_CONFIG
+        assert "config error: seed" in capsys.readouterr().err
 
     def test_desdd_without_explicit_dcs_is_fine(self, tmp_path):
         config = parse_config(fast_args(tmp_path, method="desdd"))
@@ -189,3 +211,53 @@ class TestMain:
                 args.extend(["--pool-size", "2"])
             assert main(args) == EXIT_OK
             assert out.exists()
+
+
+def random_config(rng, directory):
+    """A valid config drawn from the field table, as key=value text: each
+    choice key from its choices, the rest from ranges that keep a run at
+    1-2k instances. A CSV stream gets a data file in directory."""
+    drawn = {
+        "csv_path": "data.csv",
+        "label_column": str(rng.choice(["last", "0", "2"])),
+        "drift": str(rng.choice(["0:0", "0:2,700:3", "0:1,300:0,900:3"])),
+        "noise": repr(float(rng.choice([0.0, 0.05, 0.25]))),
+        "chunk_size": str(rng.integers(100, 400)),
+        "pool_size": str(rng.integers(1, 5)),
+        "k": str(rng.integers(1, 10)),
+        "val_window": str(rng.integers(1, 5)),
+        "seed": str(rng.integers(0, 2**40)),
+        "n": str(rng.integers(1000, 2001)),
+        "out": "report.csv",
+        "alpha": repr(float(rng.choice([0.9, 0.999, 1.0]))),
+        "metric_window": str(rng.integers(50, 600)),
+        "checkpoint_every": str(rng.integers(100, 600)),
+    }
+    for field in FIELDS:
+        if field.choices is not None:
+            drawn[field.key] = str(rng.choice(field.choices))
+    if "dcs_rule" not in METHODS[drawn["method"]]._param_names():
+        drawn["dcs"] = BY_KEY["dcs"].default
+    assert set(drawn) == set(BY_KEY)
+    if drawn["stream"] == "csv":
+        rows = rng.uniform(0.0, 10.0, size=(1500, 3)).round(3).astype(str).tolist()
+        position = 3 if drawn["label_column"] == "last" else int(drawn["label_column"])
+        for row in rows:
+            row.insert(position, "AB"[int(float(row[0]) + float(row[1]) > 9.0)])
+        header = ["x,y,z,label"] if drawn["header"] == "true" else []
+        text = "\n".join(header + [",".join(row) for row in rows]) + "\n"
+        (directory / "data.csv").write_text(text)
+    return "".join(f"{key}={value}\n" for key, value in drawn.items())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_sidecar_replays_byte_identical(seed, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config").write_text(random_config(np.random.default_rng(seed), tmp_path))
+    assert main(["--config", "config"]) == EXIT_OK
+    first = {name: (tmp_path / name).read_bytes() for name in ("report.csv", "report.csv.meta")}
+    (tmp_path / "report.csv.meta").rename(tmp_path / "replayed")
+    (tmp_path / "report.csv").unlink()
+    assert main(["--config", "replayed"]) == EXIT_OK
+    for name, expected in first.items():
+        assert (tmp_path / name).read_bytes() == expected, name

@@ -10,6 +10,7 @@ from streamdcs import (
     LCA,
     MCB,
     OLA,
+    MDEVote,
     APosteriori,
     APriori,
     DCSRank,
@@ -391,7 +392,60 @@ class TestKNOP:
             assert (set(result.selected), result.prediction, result.fallback_used) == expected
 
 
+class TestMDEVote:
+    def test_members_right_on_half_the_neighbors_vote(self):
+        # k=4 needs 2 correct: members 0 and 2 qualify and say 1, member 1
+        # (one correct) is left out though it would tie the vote.
+        ctx = make_context(
+            correctness=[[1, 1, 0, 0], [1, 0, 0, 0], [0, 1, 1, 1]],
+            labels=[0, 1, 0, 1],
+            query_predictions=[1, 0, 1],
+        )
+        result = MDEVote(k=4).select(ctx)
+        assert result.selected == (0, 2) and result.prediction == 1
+        assert not result.fallback_used and result.n_neighbors_used == 4
+
+    def test_bar_is_half_the_requested_k(self):
+        # Two neighbors found of k=7 asked for: 2 correct is below ceil(7/2).
+        ctx = make_context(correctness=[[1, 1]], labels=[0, 1], query_predictions=[1])
+        assert MDEVote(k=7).select(ctx).fallback_used
+        assert not MDEVote(k=4).select(ctx).fallback_used
+
+    def test_no_competent_member_falls_back_to_pool_vote(self):
+        ctx = make_context(
+            correctness=[[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+            labels=[0, 0, 1],
+            query_predictions=[1, 1, 0],
+        )
+        result = MDEVote(k=3).select(ctx)
+        assert result.fallback_used and result.selected == (0, 1, 2)
+        assert result.prediction == 1
+
+    def test_empty_neighborhood_falls_back_to_pool_vote(self, rng):
+        X = rng.uniform(size=(12, 2))
+        vs = make_validation(X, np.zeros(12, dtype=int))
+        pool = [LinearSoftmaxClassifier(rng.normal(size=(2, 2))) for _ in range(3)]
+        query = rng.uniform(size=2)
+        ctx = build_context(pool, vs, query, 5, where=vs.labels == 1)
+        assert len(ctx.neighborhood) == 0 and ctx.correctness.shape == (3, 0)
+        result = MDEVote(k=5).select(ctx)
+        assert result.fallback_used and result.n_neighbors_used == 0
+        votes = np.bincount(ctx.query_predictions, minlength=2)
+        assert result.prediction == int(np.argmax(votes))
+
+
 class TestBuildContext:
+    def test_mask_restricts_the_neighborhood(self, rng):
+        X = rng.uniform(size=(30, 2))
+        y = rng.integers(0, 2, 30)
+        vs = make_validation(X, y)
+        pool = [LinearSoftmaxClassifier(rng.normal(size=(2, 2))) for _ in range(2)]
+        query = rng.uniform(size=2)
+        ctx = build_context(pool, vs, query, 4, where=y == 1)
+        expected = vs.knn_query(query, 4, where=y == 1)
+        assert np.array_equal(ctx.neighborhood.indices, expected.indices)
+        assert (ctx.labels == 1).all()
+
     def test_shapes(self, rng):
         X = rng.uniform(size=(20, 4))
         y = rng.integers(0, 3, 20)

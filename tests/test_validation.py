@@ -90,6 +90,13 @@ class TestKnnQuery:
         neigh = vs.knn_query(np.array([0.1]), 2, where=vs.labels == 1)
         assert np.array_equal(neigh.features.ravel(), [1.0, 2.0])
 
+    def test_all_false_mask_gives_an_empty_neighborhood(self):
+        vs = make_validation([[0.0, 1.0], [1.0, 0.0]], [0, 0])
+        neigh = vs.knn_query(np.array([0.1, 0.2]), 3, where=vs.labels == 1)
+        assert len(neigh) == 0
+        assert neigh.features.shape == (0, 2) and neigh.labels.shape == (0,)
+        assert neigh.distances.shape == (0,)
+
     def test_neighbor_set_invariant_to_chunk_order(self, rng):
         a_X, a_y = rng.uniform(size=(6, 2)), rng.integers(0, 2, 6)
         b_X, b_y = rng.uniform(size=(6, 2)), rng.integers(0, 2, 6)
