@@ -29,7 +29,10 @@ class OnlineBaggingEnsemble(IncrementalClassifier):
     alone. The members stay real learners: training one through its own
     ``partial_fit`` updates the stack, and its ``predict_proba`` reads it.
     Pickling copies each view on its own, so unpickling re-links the
-    members to the stack. Other members, such as Hoeffding trees, whose
+    members to the stack. The stack itself may be a view of a larger block:
+    a ``DesddClassifier`` whose bags are all stacked keeps every bag's rows
+    in one block, draws each bag's counts with ``_draw`` and trains all the
+    bags together. Other members, such as Hoeffding trees, whose
     state is a tree rather than fixed-size arrays, are trained and asked
     one by one.
 
@@ -39,15 +42,16 @@ class OnlineBaggingEnsemble(IncrementalClassifier):
         Fixed at construction; never grown or pruned. Each implements
         ``_set_shape`` and ``_learn``, as every IncrementalClassifier does.
     lam : float
-        Poisson rate; lam=0 disables training entirely.
+        Poisson rate, finite and nonnegative; lam=0 disables training
+        entirely.
     seed : int, SeedSequence or Generator
         Drives the Poisson draws.
     """
 
     def __init__(self, members, lam=1.0, seed=None):
         super().__init__()
-        if lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not np.isfinite(lam) or lam < 0:
+            raise ValueError(f"lam must be finite and nonnegative, got {lam}")
         self.members = list(members)
         if not self.members:
             raise ValueError("ensemble needs at least one member")
@@ -81,11 +85,24 @@ class OnlineBaggingEnsemble(IncrementalClassifier):
             )
             self._bind_members()
 
+    def set_params(self, **params):
+        """Restart the bag, its members included: unless ``members`` is
+        given, each member is rebuilt from its own parameters, so no trained
+        state survives (a member listed twice is rebuilt once)."""
+        if "members" not in params:
+            fresh = {id(m): type(m)(**m.get_params()) for m in self.members}
+            params["members"] = [fresh[id(m)] for m in self.members]
+        return super().set_params(**params)
+
+    def _draw(self, n_rows):
+        """(n_rows, M) Poisson counts, in row-major order: instance-major,
+        member-minor."""
+        return self._rng.poisson(self.lam, size=(n_rows, len(self.members)))
+
     def _learn(self, X, y, weights):
         # A row of weight w is w instances, each with its own draws.
         X, y = repeat_rows(X, y, weights)
-        # Row-major draw order: instance-major, member-minor.
-        counts = self._rng.poisson(self.lam, size=(len(X), len(self.members)))
+        counts = self._draw(len(X))
         if self._stack is not None:
             welford_steps(*self._stack, X, y, counts)
             return

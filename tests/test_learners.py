@@ -273,6 +273,13 @@ class TestOnlineBagging:
         with pytest.raises(ValueError):
             OnlineBaggingEnsemble([ConstantClassifier(0)], lam=-1.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.5])
+    def test_non_finite_or_negative_lambda_rejected_by_name(self, lam):
+        # NaN fails no comparison, so a plain lam < 0 lets it through to
+        # the first Poisson draw.
+        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+            OnlineBaggingEnsemble([ConstantClassifier(0)], lam=lam)
+
 
 def oblique_stream(rng, n):
     X = rng.normal(size=(n, 3))

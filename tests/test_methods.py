@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,39 @@ class TestDesdd:
     def test_nonpositive_sizes_rejected_at_construction(self, size, value):
         with pytest.raises(ValueError, match=size):
             DesddClassifier(**{size: value})
+
+    @pytest.mark.parametrize(
+        "lambda_range", [(float("nan"), 1.0), (1.0, float("inf")), (-1.0, 2.0)]
+    )
+    def test_non_finite_or_negative_lambda_range_rejected(self, lambda_range):
+        with pytest.raises(ValueError, match="lambda_range"):
+            DesddClassifier(lambda_range=lambda_range)
+
+    def test_stacked_reselection_matches_each_subensembles_own_vote(self):
+        # Windows of 1-6 rows and even bags of 4 make ties common, both
+        # between sub-ensembles and inside each one's vote; the rate-0
+        # sub-ensemble never trains and answers class 0.
+        X, y = stream_arrays(9, 400)
+        rng = np.random.default_rng(12)
+        tied = 0
+        for seed in range(4):
+            model = DesddClassifier(
+                n_subensembles=5,
+                subensemble_size=4,
+                lambda_range=(0.0, 2.0),
+                chunk_size=40,
+                seed=seed,
+            ).partial_fit(X[: 40 + 30 * seed], y[: 40 + 30 * seed], n_classes=2)
+            assert model._stack is not None
+            for _ in range(25):
+                rows = rng.choice(len(X), size=int(rng.integers(1, 7)), replace=False)
+                model._window = deque(zip(X[rows], y[rows]))
+                model._reselect()
+                subs = model.subensembles_
+                accuracies = [np.mean(sub.predict(X[rows]) == y[rows]) for sub in subs]
+                assert model.selected_index_ == int(np.argmax(accuracies))
+                tied += accuracies.count(max(accuracies)) > 1
+        assert tied > 10
 
     def test_window_size_bounds_the_selection_window(self):
         X, y = stream_arrays(8, 120)

@@ -148,6 +148,23 @@ class TestSetParamsRestarts:
             bag.set_params(lam=-1.0)
         assert state_of(bag) == before
 
+    def test_bag_restarts_its_members(self):
+        X, y = stream_arrays(9, 400)
+        bag = OnlineBaggingEnsemble([GaussianNaiveBayes() for _ in range(3)], lam=1.0, seed=1)
+        bag.partial_fit(X[:200], y[:200], n_classes=2)
+        bag.set_params(lam=2.0)
+        fresh = OnlineBaggingEnsemble([GaussianNaiveBayes() for _ in range(3)], lam=2.0, seed=1)
+        assert state_of(bag) == state_of(fresh)
+        for model in (bag, fresh):
+            model.partial_fit(X[200:], y[200:], n_classes=2)
+        assert state_of(bag) == state_of(fresh)
+        # A member listed twice stays one learner, and one given explicitly
+        # is kept as given.
+        nb = GaussianNaiveBayes()
+        shared = OnlineBaggingEnsemble([nb, nb], seed=1).set_params(lam=2.0)
+        assert shared.members[0] is shared.members[1] is not nb
+        assert OnlineBaggingEnsemble([nb], seed=1).set_params(members=[nb]).members == [nb]
+
 
 def test_help_documents_defaults(capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -1,7 +1,8 @@
 """Online bagging over naive Bayes trains and votes its members through one
 stacked state: the members' moment arrays are views of the ensemble's stack,
 they stay so after pickling, and each member still equals a lone learner fed
-its column of Poisson counts."""
+its column of Poisson counts. DESDD adds one level: each bag's stack is a
+view of its rows of the model's block."""
 
 import pickle
 
@@ -42,11 +43,29 @@ def assert_members_match_their_counts(ens, X, y, counts, n_classes=2):
         assert np.array_equal(member.predict_proba(Q), alone.predict_proba(Q))
 
 
+NAMES = ("_counts", "_mean", "_m2")
+
+
 def assert_linked(ens):
+    """Each member's arrays are its row of the bag's stack. The stack may
+    itself be a view of a DESDD block, so ``.base`` names the block's
+    owner rather than the stack."""
     for m, member in enumerate(ens.members):
-        for name, stacked in zip(("_counts", "_mean", "_m2"), ens._stack):
+        for name, stacked in zip(NAMES, ens._stack):
             view = getattr(member, name)
-            assert view.base is stacked and np.shares_memory(view, stacked[m]), name
+            assert view.shape == stacked[m].shape and np.shares_memory(view, stacked[m]), name
+
+
+def assert_block_linked(model):
+    """Both levels of a DESDD block: each bag's stack is its rows of the
+    block, and each member is its row of the bag's stack."""
+    size = model.subensemble_size
+    assert [a.shape[0] for a in model._stack] == [model.n_subensembles * size] * 3
+    for s, sub in enumerate(model.subensembles_):
+        for name, block, stacked in zip(NAMES, model._stack, sub._stack):
+            rows = block[s * size : (s + 1) * size]
+            assert stacked.shape == rows.shape and np.shares_memory(stacked, rows), name
+        assert_linked(sub)
 
 
 def nb_bag(n_members=4, lam=3.0, seed=5):
@@ -120,6 +139,56 @@ def desdd(seed=7):
     )
 
 
+class TestBlock:
+    """A DESDD whose bags are all stacked trains and re-selects through one
+    block of all its members."""
+
+    def test_every_member_is_a_view_of_its_row_of_the_block(self, rng):
+        model = desdd().partial_fit(*oblique_stream(rng, 30), n_classes=2)
+        assert [a.shape for a in model._stack] == [(12, 2), (12, 2, 3), (12, 2, 3)]
+        assert_block_linked(model)
+
+    def test_training_a_member_directly_moves_the_block_and_the_vote(self, rng):
+        X, y = oblique_stream(rng, 120)
+        model = desdd().partial_fit(X, y, n_classes=2)
+        sub = model.subensembles_[model.selected_index_]
+        member, row = sub.members[0], model.selected_index_ * model.subensemble_size
+        Q = rng.normal(size=(60, 3))
+        q = Q[:1]
+        was, before = int(member.predict(q)[0]), sub.predict_proba(q)
+        counts = model._stack[0][row].copy()
+        member.partial_fit(np.repeat(q, 200, axis=0), np.full(200, 1 - was))
+        counts[1 - was] += 200
+        assert np.array_equal(model._stack[0][row], counts)
+        assert member.predict(q)[0] == 1 - was
+        moved = before.copy()
+        moved[0, was] -= 1 / 4
+        moved[0, 1 - was] += 1 / 4
+        assert np.array_equal(sub.predict_proba(q), moved)
+        votes = np.stack([m.predict(Q) for m in sub.members])
+        majority = [np.bincount(v, minlength=2).argmax() for v in votes.T]
+        assert np.array_equal(model.predict(Q), majority)
+
+    def test_a_shared_member_or_a_tree_falls_back_to_the_loop(self, rng):
+        X, y = oblique_stream(rng, 100)
+        shared = GaussianNaiveBayes()
+        for factory in (lambda: shared, lambda: HoeffdingTreeClassifier(grace_period=20)):
+            model = DesddClassifier(
+                n_subensembles=3, subensemble_size=4, learner_factory=factory, chunk_size=40, seed=1
+            ).partial_fit(X, y, n_classes=2)
+            assert model._stack is None
+            assert model.instances_delivered_.tolist() == [100, 100, 100]
+        # Distinct naive-Bayes members within a bag, shared across bags: each
+        # bag stacks its own, but no row of a block may belong to two bags.
+        members = [GaussianNaiveBayes() for _ in range(4)]
+        cycle = iter(members * 3)
+        model = DesddClassifier(
+            n_subensembles=3, subensemble_size=4, learner_factory=lambda: next(cycle), seed=1
+        ).partial_fit(X, y, n_classes=2)
+        assert model._stack is None
+        assert all(sub._stack is not None for sub in model.subensembles_)
+
+
 class TestPickle:
     """A model pickled mid-stream predicts and trains on as the original."""
 
@@ -141,6 +210,7 @@ class TestPickle:
         X, y = oblique_stream(rng, 400)
         model = desdd().partial_fit(X[:150], y[:150], n_classes=2)
         copy = pickle.loads(pickle.dumps(model))
+        assert_block_linked(copy)
         assert state_of(copy) == state_of(model)
         for start in range(150, 400, 25):
             batch = slice(start, start + 25)
@@ -148,9 +218,9 @@ class TestPickle:
             for m in (model, copy):
                 m.partial_fit(X[batch], y[batch])
         assert state_of(copy) == state_of(model)
+        assert_block_linked(copy)
         children = np.random.SeedSequence(7).spawn(3)
         for sub, child, lam in zip(copy.subensembles_, children, copy.lambdas_):
-            assert_linked(sub)
             counts = np.random.default_rng(child).poisson(lam, size=(400, 4))
             assert_members_match_their_counts(sub, X, y, counts)
 
