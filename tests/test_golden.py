@@ -42,6 +42,10 @@ MDE_PREDICTIONS = {
     "nb": GOLDEN / "mde-predictions-nb.txt",
     "ht": GOLDEN / "mde-predictions-ht.txt",
 }
+DEEP_TREE_PREDICTIONS = {
+    "dynse": GOLDEN / "dynse-knora-e-deep-ht.txt",
+    "mde": GOLDEN / "mde-predictions-deep-ht.txt",
+}
 
 
 def test_matrix_is_complete():
@@ -148,6 +152,27 @@ def mde_predictions(learner):
     return prequential_predictions(stream, model, 4000), model.pool_.births
 
 
+def deep_tree_predictions(method):
+    """Test-then-train predictions of DYNSE/KNORA-E and of MDE over Hoeffding
+    trees that tie-break at 0.3, on a drifting SEA stream with label noise.
+    Each chunk of 1000 grows a tree of 7 to 10 leaves, 3 or 4 levels deep,
+    where the benchmark's trees have 2 to 4 leaves."""
+    deep = partial(HoeffdingTreeClassifier, tie_threshold=0.3)
+    if method == "dynse":
+        stream = SEAGenerator(seed=52, schedule=DriftSchedule(((0, 0), (4000, 3))), noise_rate=0.1)
+        model = DynseClassifier(
+            learner_factory=deep,
+            dcs_rule="knora-e",
+            chunk_size=1000,
+            max_pool_size=5,
+            window_chunks=3,
+        )
+    else:
+        stream = SEAGenerator(seed=53, schedule=DriftSchedule(((0, 2), (4000, 3))), noise_rate=0.05)
+        model = MdeClassifier(learner_factory=deep, chunk_size=1000, max_pool_size=5, window_chunks=3)
+    return prequential_predictions(stream, model, 8000), model
+
+
 def test_accuracy_pruning_predictions_pinned():
     predictions, births = accuracy_pruning_predictions()
     assert predictions + "\n" == PRUNING_PREDICTIONS.read_text(encoding="utf-8")
@@ -169,9 +194,19 @@ def test_mde_predictions_pinned(learner):
     assert births != list(range(births[-1] - len(births) + 1, births[-1] + 1))
 
 
+@pytest.mark.parametrize("method", sorted(DEEP_TREE_PREDICTIONS))
+def test_deep_tree_predictions_pinned(method):
+    predictions, model = deep_tree_predictions(method)
+    assert predictions + "\n" == DEEP_TREE_PREDICTIONS[method].read_text(encoding="utf-8")
+    # Deep enough that a query routes through several levels of every tree.
+    assert min(tree.n_leaves for tree in model.pool_.learners) >= 8
+
+
 if __name__ == "__main__":
     PRUNING_PREDICTIONS.write_text(accuracy_pruning_predictions()[0] + "\n", encoding="utf-8")
     for learner, path in DESDD_PREDICTIONS.items():
         path.write_text(desdd_predictions(learner) + "\n", encoding="utf-8")
     for learner, path in MDE_PREDICTIONS.items():
         path.write_text(mde_predictions(learner)[0] + "\n", encoding="utf-8")
+    for method, path in DEEP_TREE_PREDICTIONS.items():
+        path.write_text(deep_tree_predictions(method)[0] + "\n", encoding="utf-8")
