@@ -87,18 +87,28 @@ class DCSRule(ParamsMixin):
 
 
 def build_context(
-    learners, validation_set, x, k, space="feature", n_classes=None, posteriors=None, where=None
+    learners,
+    validation_set,
+    x,
+    k,
+    space="feature",
+    n_classes=None,
+    posteriors=None,
+    where=None,
+    query_posteriors=None,
 ):
     """Assemble the competence context for one query.
 
     posteriors is the members' (P, N, C) tensor over the validation
     window's flat view (see member_posteriors); the neighbors' posteriors
-    are read from it by index, and only the query itself is passed through
-    the members (one predict_proba call each). The stream methods cache the
-    tensor per pool and window state; when it is omitted it is computed
-    here. where, a boolean mask over the flat view, restricts a
-    feature-space search to its rows (see ValidationSet.knn_query); when it
-    matches no row, the neighborhood is empty.
+    are read from it by index. query_posteriors is the members' (P, C)
+    posteriors on the query itself. The stream methods cache the tensor per
+    pool and window state, and compute the query's posteriors of a pool of
+    Hoeffding trees through one compiled forest; whichever is omitted is
+    computed here, with one predict_proba call per member. where, a boolean
+    mask over the flat view, restricts a feature-space search to its rows
+    (see ValidationSet.knn_query); when it matches no row, the neighborhood
+    is empty.
     """
     learners = list(learners)
     if not learners:
@@ -110,13 +120,16 @@ def build_context(
     if posteriors is None:
         posteriors = member_posteriors(learners, validation_set.features)
     x = np.asarray(x, dtype=np.float64).ravel()
-    query_posteriors = np.vstack([m.predict_proba(x.reshape(1, -1)) for m in learners])
+    if query_posteriors is None:
+        query_posteriors = np.vstack([m.predict_proba(x.reshape(1, -1)) for m in learners])
     if space == "feature":
         neighborhood = validation_set.knn_query(x, k, where=where)
     else:
         neighborhood = validation_set.knn_output_profiles(posteriors, query_posteriors, k)
 
-    neighbor_posteriors = posteriors[:, neighborhood.indices]
+    # Contiguous, so the rules' sums over neighbors run in one order
+    # whatever the tensor's layout.
+    neighbor_posteriors = np.ascontiguousarray(posteriors[:, neighborhood.indices])
     correctness = neighbor_posteriors.argmax(axis=2) == neighborhood.labels[None, :]
     return CompetenceContext(
         neighborhood=neighborhood,

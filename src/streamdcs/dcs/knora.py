@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..utils import majority_vote
+from ..utils import check_positive_integer, majority_vote
 from .base import DCSRule, SelectionResult
 
 
@@ -75,6 +75,7 @@ class MDEVote(DCSRule):
     """
 
     def __init__(self, k=7):
+        check_positive_integer("k", k)
         self.k = k
 
     def select(self, ctx):

@@ -275,3 +275,57 @@ class HoeffdingTreeClassifier(IncrementalClassifier):
         if not leaves:
             return np.zeros(self.n_classes_ or 1)
         return np.sum([leaf.class_counts for leaf in leaves], axis=0)
+
+
+class CompiledForest:
+    """A list of frozen Hoeffding trees as flat node arrays, queried all at once.
+
+    Nodes are numbered breadth-first, tree after tree. A split node holds its
+    feature, its threshold and its two children; a leaf is its own child on
+    both sides, so a query may step past it, and holds a copy of its own
+    ``distribution()``. ``predict_proba`` tests every split node against the
+    row with the training ``<=`` test, so a NaN feature goes right, and then
+    steps every tree's cursor ``depth`` times, so it returns exactly what
+    each tree's own ``predict_proba`` returns. The trees must not learn
+    after compiling.
+    """
+
+    def __init__(self, trees):
+        feature, threshold, children, leaves, roots = [], [], [], {}, []
+        self.depth = 0
+        for tree in trees:
+            first = len(feature)
+            roots.append(first)
+            nodes = [(tree._root, 0)]  # grows while it is walked: breadth-first
+            for node, depth in nodes:
+                self.depth = max(self.depth, depth)
+                here = len(feature)
+                if isinstance(node, _Split):
+                    feature.append(node.feature)
+                    threshold.append(node.threshold)
+                    # Column 1 is taken when the test holds, column 0 otherwise.
+                    children.append((first + len(nodes) + 1, first + len(nodes)))
+                    nodes += [(node.left, depth + 1), (node.right, depth + 1)]
+                else:
+                    feature.append(0)
+                    threshold.append(0.0)
+                    children.append((here, here))
+                    # An untrained tree answers the uniform distribution.
+                    leaves[here] = (
+                        tree._uniform_proba(1)[0] if node is None else node.distribution()
+                    )
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold)
+        self.children = np.array(children, dtype=np.intp)
+        self.roots = np.array(roots, dtype=np.intp)
+        self.values = np.zeros((len(feature), len(next(iter(leaves.values())))))
+        for i, proba in leaves.items():
+            self.values[i] = proba
+
+    def predict_proba(self, x):
+        """(P, C) posteriors of the P trees on the one row x."""
+        goes_left = (x[self.feature] <= self.threshold).view(np.int8)
+        node = self.roots
+        for _ in range(self.depth):
+            node = self.children[node, goes_left[node]]
+        return self.values[node]

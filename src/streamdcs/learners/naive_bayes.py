@@ -53,12 +53,14 @@ def stacked_proba(counts, mean, m2, X):
     total = counts.sum(axis=1, keepdims=True)  # a whole number: 0 or at least 1
     with np.errstate(divide="ignore"):
         log_prior = np.log(counts / np.maximum(total, 1.0))
-    # log P(x|c) summed over features, vectorized over (M, n, C, d)
-    diff = X[None, :, None, :] - mean[:, None, :, :]
-    log_like = -0.5 * np.sum(
-        np.log(2.0 * np.pi * var)[:, None, :, :] + diff * diff / var[:, None, :, :],
-        axis=3,
-    )
+    # log P(x|c) summed over features, vectorized over (M, n, C, d) in one
+    # array, squared, divided and shifted in place. It is row-major whatever
+    # the layout of X, so the sum over features always runs in one order.
+    terms = np.subtract(X[None, :, None, :], mean[:, None, :, :], order="C")
+    terms *= terms
+    terms /= var[:, None, :, :]
+    terms += np.log(2.0 * np.pi * var)[:, None, :, :]
+    log_like = -0.5 * terms.sum(axis=3)
     joint = log_prior[:, None, :] + log_like
     np.copyto(joint, -np.inf, where=(counts == 0)[:, None, :])
     # An unfit learner's rows are constant, so exactly 1 / C once normalised.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..learners.hoeffding_tree import CompiledForest, HoeffdingTreeClassifier
 from ..streams import Chunk
 from ..utils import FitValidationMixin, ParamsMixin, as_feature_matrix
 from ..validation import ValidationSet, member_posteriors
@@ -110,6 +111,8 @@ class ChunkedStreamClassifier(BaseStreamClassifier):
         self.validation_ = ValidationSet(window_chunks)
         self._posteriors = None
         self._posteriors_state = None
+        self._forest = None
+        self._forest_state = None
         self.scores_ = []
 
     @property
@@ -126,6 +129,17 @@ class ChunkedStreamClassifier(BaseStreamClassifier):
             )
             self._posteriors_state = state
         return self._posteriors
+
+    def _query_posteriors(self, x):
+        """The pool's (P, C) posteriors on the query row x through one
+        forest compiled per pool state, when every member is a Hoeffding
+        tree; otherwise None, and each member is asked in turn."""
+        if self._forest_state != self.pool_.version:
+            learners = self.pool_.learners
+            trees = all(type(m) is HoeffdingTreeClassifier for m in learners)
+            self._forest = CompiledForest(learners) if trees else None
+            self._forest_state = self.pool_.version
+        return None if self._forest is None else self._forest.predict_proba(x)
 
     def _learn_batch(self, X, y):
         offset = 0

@@ -6,6 +6,7 @@ import numpy as np
 
 from ..dcs import DCSRule, build_context, make_rule
 from ..learners import HoeffdingTreeClassifier
+from ..utils import check_positive_integer
 from .base import ChunkedStreamClassifier
 
 
@@ -50,6 +51,7 @@ class DynseClassifier(ChunkedStreamClassifier):
         super().__init__(chunk_size, max_pool_size, window_chunks)
         if pruning not in ("age", "accuracy"):
             raise ValueError("pruning must be 'age' or 'accuracy'")
+        check_positive_integer("k", k)
         self.learner_factory = learner_factory
         self.dcs_rule = dcs_rule
         self.chunk_size = chunk_size
@@ -80,5 +82,6 @@ class DynseClassifier(ChunkedStreamClassifier):
             n_classes=self.n_classes_,
             posteriors=self._window_posteriors(),
             where=self._query_rows(),
+            query_posteriors=self._query_posteriors(x),
         )
         return self._selector.select(ctx).prediction

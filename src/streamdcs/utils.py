@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import numbers
 
 import numpy as np
 
@@ -73,6 +74,12 @@ class FitValidationMixin:
             self.n_classes_ = n_classes
         if self.n_features_ is None:
             self.n_features_ = n_features
+
+
+def check_positive_integer(name, value):
+    """Reject a parameter that is not a positive integer, naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def majority_vote(labels, n_classes, weights=None):

@@ -30,6 +30,10 @@ class Neighborhood:
         return len(self.indices)
 
 
+# Relative slack of the fast distance pass; see ValidationSet.knn_query.
+RESCORE_MARGIN = 1e-9
+
+
 def _smallest_k(sq_distances, k):
     """Indices of the k smallest values, stable under ties."""
     n = len(sq_distances)
@@ -42,24 +46,55 @@ def _smallest_k(sq_distances, k):
     return candidates[order][:k]
 
 
+def _nearest_columns(block, x, k):
+    """Positions of the k columns of the (d, n) block nearest to x, and their
+    squared distances, as ValidationSet.knn_query defines them."""
+    n = block.shape[1]
+    candidates = np.arange(n)
+    if k < n and len(block):
+        # A square that overflows is inf in both passes; the margin keeps it.
+        with np.errstate(over="ignore"):
+            fast = np.subtract(block[0], x[0])
+            fast *= fast
+            term = np.empty(n)
+            for row, value in zip(block[1:], x[1:]):
+                np.subtract(row, value, out=term)
+                term *= term
+                fast += term
+            bound = np.partition(fast, k - 1)[k - 1] * (1.0 + RESCORE_MARGIN)
+        kept = np.flatnonzero(fast <= bound)
+        # Fewer than k only when the k-th value is NaN: then rescore all.
+        if len(kept) >= k:
+            candidates = kept
+    # einsum's order of summation depends on the memory layout; the gathered
+    # rows are a fresh row-major array, as the rows that defined it were.
+    diff = block.T[candidates] - x
+    sq = np.einsum("ij,ij->i", diff, diff)
+    picked = _smallest_k(sq, k)
+    return candidates[picked], sq[picked]
+
+
 def member_posteriors(learners, X, out=None):
     """(P, n, C) tensor of each member's predict_proba over the rows of X,
     for a non-empty list of P learners.
 
+    The tensor is a transposed view of an (n, P, C) array, so each row's
+    output profile is contiguous and ``output_profiles`` of it is a view.
     It is written into out when out already has that shape, so a caller can
     refill one buffer instead of allocating a new tensor.
     """
     for i, member in enumerate(learners):
         proba = member.predict_proba(X)
         if i == 0 and (out is None or out.shape != (len(learners),) + proba.shape):
-            out = np.empty((len(learners),) + proba.shape)
+            out = np.empty((len(proba), len(learners), proba.shape[1])).transpose(1, 0, 2)
         out[i] = proba
     return out
 
 
 def output_profiles(posteriors):
     """Output profiles from a (P, n, C) posterior tensor: row i concatenates
-    every member's probability outputs for instance i."""
+    every member's probability outputs for instance i. A view, with no copy,
+    of a tensor from member_posteriors."""
     n_members, n_rows, n_classes = posteriors.shape
     return posteriors.transpose(1, 0, 2).reshape(n_rows, n_members * n_classes)
 
@@ -68,7 +103,9 @@ class ValidationSet:
     """Window of the most recent max_chunks full chunks, oldest-first eviction.
 
     The flat view concatenates retained chunks in push order and is the
-    search space for all nearest-neighbor queries.
+    search space for all nearest-neighbor queries. It is held once,
+    feature-major: a contiguous (d, N) array rebuilt after each change, of
+    which ``features`` is the (N, d) transposed view.
     """
 
     def __init__(self, max_chunks=4):
@@ -76,8 +113,12 @@ class ValidationSet:
             raise ValueError("window must retain at least one chunk")
         self.max_chunks = int(max_chunks)
         self._chunks = deque(maxlen=self.max_chunks)
-        self._flat_X = None
-        self._flat_y = None
+        self._size = 0
+        self._columns = None  # (d, N)
+        self._labels = None
+        # (version, mask bytes), row indices and (d, rows) block of the last
+        # masked query, so a mask asked for again is not gathered again.
+        self._masked = None
         # Bumped by every change to the window, so caches can key on it.
         self.version = 0
 
@@ -85,9 +126,10 @@ class ValidationSet:
         if not chunk.is_full:
             raise ValueError("only full chunks enter the validation window")
         self._chunks.append(chunk)
+        self._size = sum(len(c) for c in self._chunks)
         self.version += 1
-        self._flat_X = None
-        self._flat_y = None
+        self._columns = None
+        self._labels = None
         return self
 
     @property
@@ -95,19 +137,24 @@ class ValidationSet:
         return len(self._chunks)
 
     def __len__(self):
-        return sum(len(c) for c in self._chunks)
+        return self._size
 
     def _flatten(self):
-        if self._flat_X is None:
-            self._flat_X = np.concatenate([c.features for c in self._chunks])
-            self._flat_y = np.concatenate([c.labels for c in self._chunks])
-        return self._flat_X, self._flat_y
+        if self._columns is None:
+            d = self._chunks[0].features.shape[1]
+            # Into a row-major array: concatenate would follow the layout of
+            # the transposed chunks.
+            self._columns = np.concatenate(
+                [c.features.T for c in self._chunks], axis=1, out=np.empty((d, self._size))
+            )
+            self._labels = np.concatenate([c.labels for c in self._chunks])
+        return self._columns, self._labels
 
     @property
     def features(self):
         if not self._chunks:
             return np.empty((0, 0))
-        return self._flatten()[0]
+        return self._flatten()[0].T
 
     @property
     def labels(self):
@@ -115,30 +162,68 @@ class ValidationSet:
             return np.empty(0, dtype=np.int64)
         return self._flatten()[1]
 
+    def _masked_block(self, where):
+        """Row indices of the mask and their (d, rows) column block, gathered
+        once per mask and window state."""
+        mask = np.asarray(where, dtype=bool)
+        key = (self.version, mask.tobytes())
+        if self._masked is None or self._masked[0] != key:
+            rows = np.flatnonzero(mask)
+            self._masked = (key, rows, self._flatten()[0][:, rows])
+        return self._masked[1:]
+
     def knn_query(self, x, k, where=None):
         """k nearest instances to x by Euclidean distance in feature space.
 
         where, if given, is a boolean mask restricting the searchable rows
         of the flat view. k is clamped to the number of searchable rows, so
         an all-false mask gives an empty neighborhood.
+
+        A squared distance is ``einsum("ij,ij->i", diff, diff)`` over the
+        row-major differences, and ties go to the earlier row; the indices
+        and distances are exactly those of that scan over every row. The
+        search first sums the d squares of each row feature by feature, then
+        rescores with the einsum only the rows whose fast value is at most
+        the k-th smallest fast value b times (1 + RESCORE_MARGIN).
+
+        That keeps every true neighbor. Both values of a row sum the same d
+        nonnegative squares, in two orders. Each addition is correctly
+        rounded, with relative error at most u = 2**-53 (and none under
+        gradual underflow), so each sum lies within a factor (1 + u)**(d-1)
+        of the real sum of the squares, and the two sums within a factor
+        1 + delta of each other, delta about 2(d-1)u. At least k rows have
+        an exact value at most e, the k-th smallest exact value, so
+        b <= e(1 + delta); every fast value is at least its exact value over
+        1 + delta, so b >= e / (1 + delta). A true neighbor has exact value
+        at most e, so fast value at most e(1 + delta) <= b(1 + delta)**2,
+        which is below b(1 + RESCORE_MARGIN) while d is under about 10**6.
+        An overflowed fast value is inf only when its exact value is within
+        delta of the largest double, and then b times the margin overflows
+        to inf as well. Among rows that include every true neighbor, the
+        exact values and the stable tie rule pick the same k rows.
         """
-        if len(self) == 0:
+        if self._size == 0:
             raise NotReadyError("validation set is empty")
         if k < 1:
             raise ValueError("k must be positive")
-        X, y = self._flatten()
-        rows = np.flatnonzero(where) if where is not None else None
-        pool_X = X[rows] if rows is not None else X
+        columns, y = self._flatten()
         x = np.asarray(x, dtype=np.float64).ravel()
-        diff = pool_X - x
-        sq = np.einsum("ij,ij->i", diff, diff)
-        picked = _smallest_k(sq, k)
-        flat_idx = rows[picked] if rows is not None else picked
+        if len(x) != len(columns):
+            raise ValueError(
+                f"feature dimension mismatch: expected {len(columns)}, got {len(x)}"
+            )
+        if where is None:
+            picked, sq = _nearest_columns(columns, x, k)
+            flat_idx = picked
+        else:
+            rows, block = self._masked_block(where)
+            picked, sq = _nearest_columns(block, x, k)
+            flat_idx = rows[picked]
         return Neighborhood(
             query=x,
             indices=flat_idx,
-            distances=np.sqrt(sq[picked]),
-            features=X[flat_idx],
+            distances=np.sqrt(sq),
+            features=columns.T[flat_idx],
             labels=y[flat_idx],
         )
 
@@ -149,13 +234,13 @@ class ValidationSet:
         (see member_posteriors) and query_posteriors its (P, C) outputs on
         the query, whose profile becomes the neighborhood's query point.
         """
-        if len(self) == 0:
+        if self._size == 0:
             raise NotReadyError("validation set is empty")
         if not len(posteriors):
             raise NotReadyError("pool is empty")
         if k < 1:
             raise ValueError("k must be positive")
-        X, y = self._flatten()
+        columns, y = self._flatten()
         query_profile = query_posteriors.reshape(-1)
         diff = output_profiles(posteriors) - query_profile
         sq = np.einsum("ij,ij->i", diff, diff)
@@ -164,6 +249,6 @@ class ValidationSet:
             query=query_profile,
             indices=picked,
             distances=np.sqrt(sq[picked]),
-            features=X[picked],
+            features=columns.T[picked],
             labels=y[picked],
         )

@@ -5,6 +5,8 @@ plain Python, sharing no code with the package under test. References
 return (selected_set, prediction, fallback_used).
 """
 
+import numpy as np
+
 EPS_DISTANCE = 1e-12
 
 
@@ -33,6 +35,17 @@ def brute_knn_indices(points, query, k):
         scored.append((d2, i))
     scored.sort(key=lambda t: (t[0], t[1]))
     return [i for _, i in scored[: min(k, len(points))]]
+
+
+def einsum_knn(points, query, k, where=None):
+    """Exhaustive k-NN scan as the validation window defines it: squared
+    distances by einsum over the row-major differences of every searchable
+    row, ties by insertion order. Returns (indices, distances)."""
+    rows = np.arange(len(points)) if where is None else np.flatnonzero(where)
+    diff = np.ascontiguousarray(points[rows]) - query
+    sq = np.einsum("ij,ij->i", diff, diff)
+    order = np.argsort(sq, kind="stable")[:k]
+    return rows[order], np.sqrt(sq[order])
 
 
 def profile_of(proba_rows):

@@ -18,6 +18,7 @@ from streamdcs import (
     RULES,
     build_context,
     make_rule,
+    member_posteriors,
 )
 
 import reference as ref
@@ -434,7 +435,38 @@ class TestMDEVote:
         assert result.prediction == int(np.argmax(votes))
 
 
+    @pytest.mark.parametrize("k", [0, -3, 2.5, True, "7"])
+    def test_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            MDEVote(k=k)
+
+
 class TestBuildContext:
+    def test_given_query_posteriors_are_used_as_they_are(self, rng):
+        X = rng.uniform(size=(30, 2))
+        vs = make_validation(X, rng.integers(0, 2, 30))
+        pool = [LinearSoftmaxClassifier(rng.normal(size=(2, 2))) for _ in range(3)]
+        query = rng.uniform(size=2)
+        reference = build_context(pool, vs, query, 5, space="profile")
+        given = build_context(
+            pool,
+            vs,
+            query,
+            5,
+            space="profile",
+            posteriors=member_posteriors(pool, vs.features),
+            query_posteriors=reference.query_posteriors.copy(),
+        )
+        assert np.array_equal(given.neighborhood.indices, reference.neighborhood.indices)
+        assert np.array_equal(given.posteriors, reference.posteriors)
+        assert np.array_equal(given.query_predictions, reference.query_predictions)
+        # Read from a tensor of any layout, the neighbors' posteriors are
+        # row-major, so the rules' sums over them run in one order.
+        contiguous = build_context(
+            pool, vs, query, 5, posteriors=np.ascontiguousarray(member_posteriors(pool, X))
+        )
+        assert contiguous.posteriors.flags.c_contiguous and given.posteriors.flags.c_contiguous
+
     def test_mask_restricts_the_neighborhood(self, rng):
         X = rng.uniform(size=(30, 2))
         y = rng.integers(0, 2, 30)

@@ -9,6 +9,7 @@ from streamdcs import (
     OnlineBaggingEnsemble,
     hoeffding_bound,
 )
+from streamdcs.learners.hoeffding_tree import CompiledForest
 from streamdcs.utils import as_feature_matrix
 
 from helpers import ConstantClassifier
@@ -318,6 +319,15 @@ class TestBatchEquivalence:
         Q = rng.normal(size=(300, 3))
         assert np.array_equal(nb.predict_proba(Q), np.vstack([nb.predict_proba(q) for q in Q]))
 
+    def test_naive_bayes_over_a_feature_major_view(self, rng):
+        # The validation window hands its rows over as the transpose of a
+        # (d, N) array; the per-feature sums must not follow that layout.
+        X = rng.normal(size=(400, 8))
+        nb = GaussianNaiveBayes()
+        nb.partial_fit(X, (X[:, 0] > 0).astype(int), n_classes=2)
+        Q = rng.normal(size=(300, 8)) * 3.0
+        assert nb.predict_proba(np.asfortranarray(Q)).tobytes() == nb.predict_proba(Q).tobytes()
+
     def test_online_bagging(self, rng):
         ens = OnlineBaggingEnsemble([GaussianNaiveBayes() for _ in range(4)], seed=3)
         ens.partial_fit(*oblique_stream(rng, 200), n_classes=2)
@@ -329,6 +339,23 @@ class TestBatchEquivalence:
         # Two-two splits are ties and go to class 0.
         ties = proba[:, 0] == 0.5
         assert ties.any() and not predictions[ties].any()
+
+
+def test_compiled_forest_equals_each_trees_own_posteriors(rng):
+    trees = [HoeffdingTreeClassifier(tie_threshold=0.3) for _ in range(5)]
+    for tree in trees:
+        tree.partial_fit(*oblique_stream(rng, 2000), n_classes=2)
+    trees.insert(2, HoeffdingTreeClassifier(n_classes=2))  # untrained: uniform
+    forest = CompiledForest(trees)
+    assert forest.depth >= 4
+    Q = queries_with_nan(rng)
+    # Rows exactly on a split threshold take the <= branch.
+    for node, (feature, threshold) in enumerate(zip(forest.feature[:40], forest.threshold)):
+        if forest.children[node, 0] != node:
+            Q[20 + node, feature] = threshold
+    for q in Q:
+        expected = np.vstack([tree.predict_proba(q[None, :]) for tree in trees])
+        assert forest.predict_proba(q).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -17,7 +17,13 @@ from streamdcs import (
 
 from streamdcs.streams import DriftSchedule
 
-from helpers import ConstantClassifier, LinearSoftmaxClassifier, TableClassifier, make_chunk
+from helpers import (
+    ConstantClassifier,
+    LinearSoftmaxClassifier,
+    TableClassifier,
+    make_chunk,
+    make_validation,
+)
 
 
 def stream_arrays(seed, n, **kwargs):
@@ -403,6 +409,76 @@ class TestMde:
             return preds
 
         assert run() == run()
+
+
+def deep_trees(n, seed):
+    """n Hoeffding trees of 8 or more leaves, each fitted on its own noisy
+    SEA chunk of 1000 instances."""
+    X, y = stream_arrays(seed, 1000 * n, noise_rate=0.1)
+    trees = [HoeffdingTreeClassifier(tie_threshold=0.3) for _ in range(n)]
+    for i, tree in enumerate(trees):
+        tree.partial_fit(X[1000 * i : 1000 * (i + 1)], y[1000 * i : 1000 * (i + 1)], n_classes=2)
+    return trees
+
+
+@pytest.mark.parametrize("method", ["dynse", "mde"])
+def test_tree_pool_predictions_follow_direct_pool_and_window_changes(rng, method):
+    # The forest compiled for the query is kept per pool state, and MDE's
+    # minority block per window state; after each change made behind the
+    # method's back, predictions must equal the uncached reference.
+    trees = deep_trees(6, seed=8)
+    assert min(tree.n_leaves for tree in trees) >= 8
+    if method == "dynse":
+        model = DynseClassifier(dcs_rule="knora-e", chunk_size=200, k=7, window_chunks=1)
+    else:
+        model = MdeClassifier(chunk_size=200, k=7, window_chunks=1)
+        model.minority_class_ = 1
+    model.n_classes_ = 2
+    model.n_features_ = 3
+    for tree in trees[:3]:
+        model.pool_.append(tree, 0)
+    X, y = stream_arrays(6, 800, noise_rate=0.1)
+    model.validation_.push_chunk(make_chunk(X[:200], y[:200]))
+    queries = rng.uniform(0.0, 10.0, size=(400, 3))
+
+    def uncached():
+        # A fresh window of the same rows, so no cache of the model's is read.
+        window = make_validation(model.validation_.features, model.validation_.labels)
+        where = None if method == "dynse" else window.labels == 1
+        return [
+            model._selector.select(
+                build_context(model.pool_.learners, window, q, model.k, where=where)
+            ).prediction
+            for q in queries
+        ]
+
+    seen = [uncached()]
+    assert model.predict(queries).tolist() == seen[-1]
+    windows = iter((X[200:400], X[400:600]))
+    for change in ("evict and append", "window", "append", "evict", "window"):
+        if change == "window":
+            # The same labels, so the same minority mask, over new rows.
+            model.validation_.push_chunk(make_chunk(next(windows), y[:200]))
+        if change.startswith("evict"):
+            model.pool_.evict(0)
+        if change.endswith("append"):
+            model.pool_.append(trees.pop(), 1)
+        seen.append(uncached())
+        assert model.predict(queries).tolist() == seen[-1], change
+    # Every change moved some prediction, so a stale cache would show.
+    assert all(a != b for a, b in zip(seen, seen[1:]))
+
+
+@pytest.mark.parametrize("method", [DynseClassifier, MdeClassifier])
+@pytest.mark.parametrize("k", [0, -3, 2.5, True])
+def test_k_must_be_a_positive_integer(method, k):
+    # Rejected when the model is built, not at its first ready query.
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        method(k=k)
+    model = method(k=np.int64(3))
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        model.set_params(k=0)
+    assert model.k == 3
 
 
 def small_tree():

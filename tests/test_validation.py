@@ -10,7 +10,7 @@ from helpers import (
     make_validation,
     profile_neighbors,
 )
-from reference import brute_knn_indices, profile_of
+from reference import brute_knn_indices, einsum_knn, profile_of
 
 
 class TestWindow:
@@ -113,6 +113,77 @@ class TestKnnQuery:
         assert {tuple(r) for r in n1.features} == {tuple(r) for r in n2.features}
 
 
+def window_of(rng, d, scale):
+    """A three-chunk window with duplicate rows and exact distance ties: a
+    third of its rows come from a coarse integer grid, and some repeat."""
+    vs = ValidationSet(max_chunks=3)
+    for _ in range(3):
+        X = rng.uniform(-1.0, 1.0, size=(60, d)) * scale
+        X[::3] = rng.integers(-2, 3, size=(20, d)) * scale
+        X[1::7] = X[0]
+        vs.push_chunk(make_chunk(X, rng.integers(0, 2, 60)))
+    return vs
+
+
+class TestExactRescoring:
+    """knn_query equals the plain einsum scan bit for bit, in its indices and
+    its distances, whatever the order in which the fast pass sums features."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    # Ordinary values, squares near the largest double (some overflow), and
+    # squares in the subnormal range.
+    @pytest.mark.parametrize("scale", [1.0, 6e153, 1e-160])
+    def test_matches_einsum_reference(self, rng, d, scale):
+        vs = window_of(rng, d, scale)
+        X = vs.features
+        masks = [None, rng.random(len(vs)) < 0.3, rng.random(len(vs)) < 0.02]
+        masks.append(np.zeros(len(vs), dtype=bool))
+        queries = [rng.uniform(-1.0, 1.0, size=d) * scale for _ in range(15)]
+        queries += [X[0], X[5], np.zeros(d), np.full(d, scale)]
+        for q in queries:
+            for where in masks:
+                for k in (1, 3, 7, 40, len(vs), len(vs) + 5):
+                    neigh = vs.knn_query(q, k, where=where)
+                    indices, distances = einsum_knn(X, q, k, where)
+                    assert neigh.indices.tolist() == indices.tolist()
+                    assert neigh.distances.tobytes() == distances.tobytes()
+                    assert np.array_equal(neigh.features, X[indices])
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_rows_tied_in_real_arithmetic(self, rng, d):
+        # Permutations of a few vectors lie at one real distance from a
+        # query with equal coordinates, but their floating-point sums differ
+        # in the last bits by the order of the terms, so the fast pass and
+        # the einsum rank them differently.
+        base = rng.uniform(-1.0, 1.0, size=(4, d))
+        X = np.vstack([rng.permutation(row) for row in base for _ in range(15)])
+        vs = make_validation(X, rng.integers(0, 2, len(X)))
+        for q in (np.zeros(d), np.full(d, 0.25), np.full(d, -0.7)):
+            for k in range(1, len(X) + 1):
+                neigh = vs.knn_query(q, k)
+                indices, distances = einsum_knn(vs.features, q, k)
+                assert neigh.indices.tolist() == indices.tolist()
+                assert neigh.distances.tobytes() == distances.tobytes()
+
+    def test_masked_block_follows_the_window(self, rng):
+        # Same labels, so the same mask, in a window of one chunk: only the
+        # window's version tells the new rows from the old ones.
+        vs = ValidationSet(max_chunks=1)
+        y = rng.integers(0, 2, 50)
+        for _ in range(3):
+            vs.push_chunk(make_chunk(rng.normal(size=(50, 3)), y))
+            q = rng.normal(size=3)
+            neigh = vs.knn_query(q, 5, where=vs.labels == 1)
+            indices, distances = einsum_knn(vs.features, q, 5, vs.labels == 1)
+            assert neigh.indices.tolist() == indices.tolist()
+            assert np.array_equal(neigh.features, vs.features[indices])
+
+    def test_query_of_the_wrong_width_rejected(self):
+        vs = make_validation([[0.0, 1.0], [1.0, 0.0]], [0, 1])
+        with pytest.raises(ValueError, match="expected 2, got 1"):
+            vs.knn_query(np.array([0.5]), 1)
+
+
 class TestProfileQuery:
     def test_identical_profiles_keep_insertion_order(self):
         vs = make_validation([[0.0], [1.0], [2.0]], [0, 0, 1])
@@ -148,6 +219,14 @@ class TestProfileQuery:
         neigh = profile_neighbors(vs, pool, X[4], 3)
         assert neigh.indices[0] == 4
         assert neigh.distances[0] == 0.0
+
+    def test_profiles_are_a_view_of_the_posteriors(self, rng):
+        X = rng.uniform(size=(20, 2))
+        pool = [LinearSoftmaxClassifier(rng.normal(size=(2, 3))) for _ in range(4)]
+        posteriors = member_posteriors(pool, X)
+        profiles = output_profiles(posteriors)
+        assert np.shares_memory(profiles, posteriors)
+        assert np.array_equal(profiles, np.hstack([m.predict_proba(X) for m in pool]))
 
     def test_profile_segments_sum_to_one(self, rng):
         X = rng.uniform(size=(20, 2))
