@@ -191,16 +191,16 @@ class ValidationSet:
         rounded, with relative error at most u = 2**-53 (and none under
         gradual underflow), so each sum lies within a factor (1 + u)**(d-1)
         of the real sum of the squares, and the two sums within a factor
-        1 + delta of each other, delta about 2(d-1)u. At least k rows have
-        an exact value at most e, the k-th smallest exact value, so
-        b <= e(1 + delta); every fast value is at least its exact value over
-        1 + delta, so b >= e / (1 + delta). A true neighbor has exact value
+        1 + delta of each other, delta about 2(d-1)u. Every fast value is at
+        least its exact value over 1 + delta, so b >= e / (1 + delta), where
+        e is the k-th smallest exact value. A true neighbor has exact value
         at most e, so fast value at most e(1 + delta) <= b(1 + delta)**2,
         which is below b(1 + RESCORE_MARGIN) while d is under about 10**6.
-        An overflowed fast value is inf only when its exact value is within
-        delta of the largest double, and then b times the margin overflows
-        to inf as well. Among rows that include every true neighbor, the
-        exact values and the stable tie rule pick the same k rows.
+        A fast value overflows to inf while its exact value is finite only
+        within delta of the largest double, and then b times the margin
+        overflows to inf as well. Among rows that include every true
+        neighbor, the exact values and the stable tie rule pick the same k
+        rows.
         """
         if self._size == 0:
             raise NotReadyError("validation set is empty")

@@ -2,7 +2,9 @@
 
 Everything here is a direct transliteration of the rule definitions in
 plain Python, sharing no code with the package under test. References
-return (selected_set, prediction, fallback_used).
+return (selected_set, prediction, fallback_used). The one numpy reference,
+``einsum_knn``, is the window's distance as the package defines it, so the
+package's faster search can be held to it bit for bit.
 """
 
 import numpy as np

@@ -434,7 +434,6 @@ class TestMDEVote:
         votes = np.bincount(ctx.query_predictions, minlength=2)
         assert result.prediction == int(np.argmax(votes))
 
-
     @pytest.mark.parametrize("k", [0, -3, 2.5, True, "7"])
     def test_k_must_be_a_positive_integer(self, k):
         with pytest.raises(ValueError, match="k must be a positive integer"):

@@ -154,7 +154,7 @@ class TestExactRescoring:
         # Permutations of a few vectors lie at one real distance from a
         # query with equal coordinates, but their floating-point sums differ
         # in the last bits by the order of the terms, so the fast pass and
-        # the einsum rank them differently.
+        # the einsum can rank them differently.
         base = rng.uniform(-1.0, 1.0, size=(4, d))
         X = np.vstack([rng.permutation(row) for row in base for _ in range(15)])
         vs = make_validation(X, rng.integers(0, 2, len(X)))
@@ -176,6 +176,7 @@ class TestExactRescoring:
             neigh = vs.knn_query(q, 5, where=vs.labels == 1)
             indices, distances = einsum_knn(vs.features, q, 5, vs.labels == 1)
             assert neigh.indices.tolist() == indices.tolist()
+            assert neigh.distances.tobytes() == distances.tobytes()
             assert np.array_equal(neigh.features, vs.features[indices])
 
     def test_query_of_the_wrong_width_rejected(self):
