@@ -96,19 +96,22 @@ def build_context(
     posteriors=None,
     where=None,
     query_posteriors=None,
+    correctness=None,
 ):
     """Assemble the competence context for one query.
 
     posteriors is the members' (P, N, C) tensor over the validation
-    window's flat view (see member_posteriors); the neighbors' posteriors
-    are read from it by index. query_posteriors is the members' (P, C)
-    posteriors on the query itself. The stream methods cache the tensor per
-    pool and window state, and compute the query's posteriors of a pool of
-    Hoeffding trees through one compiled forest; whichever is omitted is
-    computed here, with one predict_proba call per member. where, a boolean
-    mask over the flat view, restricts a feature-space search to its rows
-    (see ValidationSet.knn_query); when it matches no row, the neighborhood
-    is empty.
+    window's flat view (see member_posteriors), and correctness the (P, N)
+    matrix of whether each member's posterior argmax (ties to the lowest
+    class) is the row's label; the neighbors' entries of both are read by
+    index. query_posteriors is the members' (P, C) posteriors on the query
+    itself. The stream methods cache the tensor and the matrix per pool and
+    window state, and compute the query's posteriors of a pool of Hoeffding
+    trees through one compiled forest; whichever is omitted is computed
+    here, with one predict_proba call per member and the neighbors' argmax.
+    where, a boolean mask over the flat view, restricts a feature-space
+    search to its rows (see ValidationSet.knn_query); when it matches no
+    row, the neighborhood is empty.
     """
     learners = list(learners)
     if not learners:
@@ -130,10 +133,13 @@ def build_context(
     # Contiguous, so the rules' sums over neighbors run in one order
     # whatever the tensor's layout.
     neighbor_posteriors = np.ascontiguousarray(posteriors[:, neighborhood.indices])
-    correctness = neighbor_posteriors.argmax(axis=2) == neighborhood.labels[None, :]
+    if correctness is None:
+        neighbor_correctness = neighbor_posteriors.argmax(axis=2) == neighborhood.labels
+    else:
+        neighbor_correctness = correctness[:, neighborhood.indices]
     return CompetenceContext(
         neighborhood=neighborhood,
-        correctness=correctness,
+        correctness=neighbor_correctness,
         posteriors=neighbor_posteriors,
         query_predictions=query_posteriors.argmax(axis=1),
         query_posteriors=query_posteriors,

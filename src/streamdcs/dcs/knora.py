@@ -20,18 +20,24 @@ class KNORAE(DCSRule):
     """
 
     def select(self, ctx):
-        for m in range(len(ctx.neighborhood), 0, -1):
-            perfect = np.flatnonzero(ctx.correctness[:, :m].all(axis=1))
-            if len(perfect):
-                prediction = majority_vote(
-                    ctx.query_predictions[perfect], ctx.n_classes
-                )
-                return SelectionResult(
-                    selected=tuple(int(i) for i in perfect),
-                    prediction=prediction,
-                    n_neighbors_used=m,
-                )
-        return self._fallback(ctx, n_neighbors_used=0)
+        # Each member's run of correct neighbors, nearest first: the members
+        # with the longest run, m, are exactly the perfect ones on the
+        # largest prefix that dropping the farthest neighbor reaches.
+        runs = np.add.reduce(np.logical_and.accumulate(ctx.correctness, axis=1), axis=1)
+        runs = runs.tolist()
+        m = max(runs)
+        if m == 0:
+            return self._fallback(ctx, n_neighbors_used=0)
+        perfect = [i for i, run in enumerate(runs) if run == m]
+        # A vote of at most P members costs less counted on a list than in
+        # any numpy call; ties go to the lowest class.
+        predictions = ctx.query_predictions.tolist()
+        votes = [0] * ctx.n_classes
+        for i in perfect:
+            votes[predictions[i]] += 1
+        return SelectionResult(
+            selected=tuple(perfect), prediction=votes.index(max(votes)), n_neighbors_used=m
+        )
 
 
 class KNORAU(DCSRule):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .base import DCSRule
@@ -25,12 +27,14 @@ class LCA(DCSRule):
     """
 
     def select(self, ctx):
-        competence = np.zeros(ctx.n_members)
-        for i in range(ctx.n_members):
-            mask = ctx.labels == ctx.query_predictions[i]
-            if mask.any():
-                competence[i] = ctx.correctness[i, mask].mean()
-        return self._single(ctx, np.argmax(competence), len(ctx.neighborhood))
+        return self._single(ctx, np.argmax(self._competence(ctx)), len(ctx.neighborhood))
+
+    @staticmethod
+    def _competence(ctx):
+        mine = ctx.labels == ctx.query_predictions[:, None]  # (P, k')
+        counts = mine.sum(axis=1)
+        hits = (ctx.correctness & mine).sum(axis=1)
+        return np.divide(hits, counts, out=np.zeros(ctx.n_members), where=counts > 0)
 
 
 class MCB(DCSRule):
@@ -43,6 +47,9 @@ class MCB(DCSRule):
     """
 
     def __init__(self, similarity_threshold=0.7):
+        t = similarity_threshold
+        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not 0 <= t <= 1:
+            raise ValueError(f"similarity_threshold must be a finite number in [0, 1], got {t!r}")
         self.similarity_threshold = similarity_threshold
 
     def select(self, ctx):

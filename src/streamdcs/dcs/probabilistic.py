@@ -27,12 +27,19 @@ class APosteriori(DCSRule):
     normalized by the mass for c over the whole neighborhood."""
 
     def select(self, ctx):
+        return self._single(ctx, np.argmax(self._competence(ctx)), len(ctx.neighborhood))
+
+    @staticmethod
+    def _competence(ctx):
         w = distance_weights(ctx.distances)
-        competence = np.zeros(ctx.n_members)
-        for i in range(ctx.n_members):
-            c = ctx.query_predictions[i]
-            mass = ctx.posteriors[i, :, c] * w
-            denominator = mass.sum()
-            if denominator > 0:
-                competence[i] = mass[ctx.labels == c].sum() / denominator
-        return self._single(ctx, np.argmax(competence), len(ctx.neighborhood))
+        predictions = ctx.query_predictions
+        mass = ctx.posteriors[np.arange(ctx.n_members), :, predictions] * w  # (P, k')
+        denominator = mass.sum(axis=1)
+        # Summed over each class's own neighbors, gathered in order into a
+        # row-major block, so each member's sum adds the terms of its own
+        # mass[labels == c] in one order.
+        numerator = np.zeros(ctx.n_members)
+        for c in np.unique(predictions).tolist():
+            members = np.flatnonzero(predictions == c)
+            numerator[members] = mass[np.ix_(members, ctx.labels == c)].sum(axis=1)
+        return np.divide(numerator, denominator, out=np.zeros(ctx.n_members), where=denominator > 0)

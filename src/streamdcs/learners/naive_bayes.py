@@ -32,7 +32,8 @@ def welford_steps(counts, mean, m2, X, y, weights):
     signed zero, and its moments, which start at +0.0, never hold -0.0 for
     that zero to flip.
     """
-    for x, c, w in zip(X, y.tolist(), weights[:, :, None].astype(np.float64)):
+    for x, c, w in zip(X, y.tolist(), weights[:, :, None]):
+        w = w.astype(np.float64)  # one row at a time, so no (n, M) copy is held
         n, class_mean, class_m2 = counts[:, c, None], mean[:, c], m2[:, c]  # views
         n += w
         delta = x - class_mean

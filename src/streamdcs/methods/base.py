@@ -6,7 +6,7 @@ import numpy as np
 
 from ..learners.hoeffding_tree import CompiledForest, HoeffdingTreeClassifier
 from ..streams import Chunk
-from ..utils import FitValidationMixin, ParamsMixin, as_feature_matrix
+from ..utils import FitValidationMixin, ParamsMixin, as_feature_matrix, check_positive_integer
 from ..validation import ValidationSet, member_posteriors
 
 
@@ -89,9 +89,10 @@ class ChunkedStreamClassifier(BaseStreamClassifier):
     """Buffers the stream into fixed-size chunks and reacts at boundaries.
 
     Holds a bounded pool of members and a validation window of the most
-    recent chunks, plus the members' posteriors over that window. A member
-    is frozen once pooled, so the posteriors change only with the pool or
-    the window, and each state is scored once rather than once per query.
+    recent chunks, plus the members' posteriors over that window and
+    whether each is right on each row. A member is frozen once pooled, so
+    both change only with the pool or the window, and each state is scored
+    once rather than once per query.
 
     Each full chunk trains a fresh member from ``learner_factory``, which
     joins the pool; then every member is scored by ``_member_scores``, the
@@ -102,15 +103,17 @@ class ChunkedStreamClassifier(BaseStreamClassifier):
 
     def __init__(self, chunk_size, max_pool_size, window_chunks):
         super().__init__()
-        if chunk_size < 1:
-            raise ValueError("chunk size must be positive")
+        check_positive_integer("chunk_size", chunk_size)
+        check_positive_integer("max_pool_size", max_pool_size)
+        check_positive_integer("window_chunks", window_chunks)
         self._buffer = Chunk(chunk_size)
         self._chunk_index = 0
         self.learners_created = 0
         self.pool_ = Pool(max_pool_size)
         self.validation_ = ValidationSet(window_chunks)
         self._posteriors = None
-        self._posteriors_state = None
+        self._correctness = None
+        self._window_state = None
         self._forest = None
         self._forest_state = None
         self.scores_ = []
@@ -119,16 +122,25 @@ class ChunkedStreamClassifier(BaseStreamClassifier):
     def is_ready(self):
         return len(self.pool_) > 0 and len(self.validation_) > 0
 
-    def _window_posteriors(self):
+    def _window_cache(self):
         """The pool's (P, N, C) posteriors over the validation window's flat
-        view, refilled in place after any change to the pool or the window."""
+        view, and the (P, N) matrix of whether each member's argmax on a row
+        (ties to the lowest class) is the row's label; both are refilled in
+        place after any change to the pool or the window."""
         state = (self.pool_.version, self.validation_.version)
-        if state != self._posteriors_state:
+        if state != self._window_state:
+            features, labels = self.validation_.features, self.validation_.labels
+            shape = (len(self.pool_), len(labels))
+            if self._correctness is None or self._correctness.shape != shape:
+                self._correctness = np.empty(shape, dtype=bool)
             self._posteriors = member_posteriors(
-                self.pool_.learners, self.validation_.features, out=self._posteriors
+                self.pool_.learners, features, out=self._posteriors
             )
-            self._posteriors_state = state
-        return self._posteriors
+            # One member at a time, so no (P, N) array of indices is held.
+            for member, row in zip(self._posteriors, self._correctness):
+                np.equal(member.argmax(axis=1), labels, out=row)
+            self._window_state = state
+        return self._posteriors, self._correctness
 
     def _query_posteriors(self, x):
         """The pool's (P, C) posteriors on the query row x through one

@@ -9,6 +9,7 @@ import numpy as np
 
 from ..learners import GaussianNaiveBayes, OnlineBaggingEnsemble
 from ..learners.naive_bayes import stacked_proba, welford_steps
+from ..utils import check_positive_integer
 from .base import BaseStreamClassifier
 
 
@@ -61,12 +62,11 @@ class DesddClassifier(BaseStreamClassifier):
         super().__init__()
         if not np.isfinite(lambda_range).all() or min(lambda_range) < 0:
             raise ValueError(f"lambda_range must be finite and nonnegative, got {lambda_range}")
-        if n_subensembles < 1 or subensemble_size < 1:
-            raise ValueError("ensemble dimensions must be positive")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        if window_size is not None and window_size < 1:
-            raise ValueError(f"window_size must be positive or None, got {window_size}")
+        check_positive_integer("n_subensembles", n_subensembles)
+        check_positive_integer("subensemble_size", subensemble_size)
+        check_positive_integer("chunk_size", chunk_size)
+        if window_size is not None:
+            check_positive_integer("window_size", window_size)
         self.n_subensembles = n_subensembles
         self.subensemble_size = subensemble_size
         self.learner_factory = learner_factory
@@ -90,7 +90,7 @@ class DesddClassifier(BaseStreamClassifier):
         ]
         self._stack = None  # (counts, mean, m2) of all sub-ensembles' members
         self.selected_index_ = 0
-        self._window = deque(maxlen=chunk_size if window_size is None else window_size)
+        self._window = deque(maxlen=int(chunk_size if window_size is None else window_size))
         self._seen = 0
         # Per-sub-ensemble count of instances delivered for training.
         self.instances_delivered_ = np.zeros(n_subensembles, dtype=np.int64)
@@ -149,14 +149,16 @@ class DesddClassifier(BaseStreamClassifier):
         X = np.stack([row for row, _ in self._window])
         y = np.array([label for _, label in self._window])
         if self._stack is not None:
-            # All S*M members vote on the window in S blocks of rows, so each
-            # block's temporaries stay the size of one sub-ensemble's vote
-            # over the whole window rather than growing S-fold.
-            blocks = np.array_split(X, self.n_subensembles)
-            predictions = np.hstack([self._majorities(b) for b in blocks])
+            # All S*M members vote on the window in S blocks of rows, and
+            # each block's hits are counted before the next is scored, so
+            # the temporaries stay the size of one sub-ensemble's vote over
+            # the whole window rather than growing S-fold.
+            S = self.n_subensembles
+            blocks = zip(np.array_split(X, S), np.array_split(y, S))
+            hits = sum((self._majorities(X_b) == y_b).sum(axis=1) for X_b, y_b in blocks)
         else:
             predictions = np.stack([sub.predict(X) for sub in self.subensembles_])
-        hits = (predictions == y).sum(axis=1)
+            hits = (predictions == y).sum(axis=1)
         self.selected_index_ = int(np.argmax(hits))
 
     def _majorities(self, X):

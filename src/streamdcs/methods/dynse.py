@@ -64,8 +64,7 @@ class DynseClassifier(ChunkedStreamClassifier):
     def _member_scores(self, chunk):
         # A window is empty only at the first chunk, which cannot overflow.
         if self.pruning == "accuracy" and len(self.validation_):
-            predictions = self._window_posteriors().argmax(axis=2)
-            return np.mean(predictions == self.validation_.labels, axis=1)
+            return np.mean(self._window_cache()[1], axis=1)
         return self.pool_.births
 
     def _query_rows(self):
@@ -73,6 +72,12 @@ class DynseClassifier(ChunkedStreamClassifier):
         return None
 
     def _predict_one(self, x):
+        # The forest is compiled before the window cache is refilled, so its
+        # small long-lived arrays are not placed among the refill's
+        # transients.
+        query_posteriors = self._query_posteriors(x)
+        where = self._query_rows()
+        posteriors, correctness = self._window_cache()
         ctx = build_context(
             self.pool_.learners,
             self.validation_,
@@ -80,8 +85,9 @@ class DynseClassifier(ChunkedStreamClassifier):
             self.k,
             space=self._selector.neighborhood_space,
             n_classes=self.n_classes_,
-            posteriors=self._window_posteriors(),
-            where=self._query_rows(),
-            query_posteriors=self._query_posteriors(x),
+            posteriors=posteriors,
+            where=where,
+            query_posteriors=query_posteriors,
+            correctness=correctness,
         )
         return self._selector.select(ctx).prediction

@@ -15,23 +15,25 @@ class Neighborhood:
     """k nearest validation instances for one query, ascending by distance.
 
     Distance ties resolve to insertion order (older instances first). The
-    distances, and the query point, live either in feature space or in
-    output-profile space, depending on the query that produced the
-    neighborhood.
+    distances live either in feature space or in output-profile space,
+    depending on the query that produced the neighborhood.
     """
 
-    query: np.ndarray
     indices: np.ndarray  # positions in the validation set's flat view
     distances: np.ndarray
-    features: np.ndarray  # (k', d)
     labels: np.ndarray  # (k',)
 
     def __len__(self):
         return len(self.indices)
 
 
-# Relative slack of the fast distance pass; see ValidationSet.knn_query.
+# Slack of the fast distance pass relative to the scale of the window and
+# the query, and per feature for gradual underflow (eight halves of the
+# smallest subnormal); see ValidationSet.knn_query.
 RESCORE_MARGIN = 1e-9
+UNDERFLOW_SLACK = 2.0**-1072
+# Largest scale at which no step of the fast pass can overflow.
+SAFE_SCALE = np.finfo(np.float64).max / 8
 
 
 def _smallest_k(sq_distances, k):
@@ -46,32 +48,27 @@ def _smallest_k(sq_distances, k):
     return candidates[order][:k]
 
 
-def _nearest_columns(block, x, k):
+def _nearest_columns(block, norms, max_norm, x, k):
     """Positions of the k columns of the (d, n) block nearest to x, and their
-    squared distances, as ValidationSet.knn_query defines them."""
+    squared distances, as ValidationSet.knn_query defines them; norms holds
+    the columns' squared norms, and max_norm is at least the largest."""
     n = block.shape[1]
-    candidates = np.arange(n)
-    if k < n and len(block):
-        # A square that overflows is inf in both passes; the margin keeps it.
-        with np.errstate(over="ignore"):
-            fast = np.subtract(block[0], x[0])
-            fast *= fast
-            term = np.empty(n)
-            for row, value in zip(block[1:], x[1:]):
-                np.subtract(row, value, out=term)
-                term *= term
-                fast += term
-            bound = np.partition(fast, k - 1)[k - 1] * (1.0 + RESCORE_MARGIN)
-        kept = np.flatnonzero(fast <= bound)
-        # Fewer than k only when the k-th value is NaN: then rescore all.
-        if len(kept) >= k:
-            candidates = kept
+    candidates = None
+    if k < n:
+        scale = max_norm + sum(v * v for v in x.tolist())
+        if scale <= SAFE_SCALE:  # False for inf and NaN too
+            fast = (x * -2.0) @ block
+            fast += norms
+            slack = RESCORE_MARGIN * scale + (len(x) + 2) * UNDERFLOW_SLACK
+            candidates = np.flatnonzero(fast <= np.partition(fast, k - 1)[k - 1] + slack)
+    if candidates is None:
+        candidates = np.arange(n)
     # einsum's order of summation depends on the memory layout; the gathered
     # rows are a fresh row-major array, as the rows that defined it were.
     diff = block.T[candidates] - x
     sq = np.einsum("ij,ij->i", diff, diff)
-    picked = _smallest_k(sq, k)
-    return candidates[picked], sq[picked]
+    order = np.argsort(sq, kind="stable")[:k]
+    return candidates[order], sq[order]
 
 
 def member_posteriors(learners, X, out=None):
@@ -105,7 +102,8 @@ class ValidationSet:
     The flat view concatenates retained chunks in push order and is the
     search space for all nearest-neighbor queries. It is held once,
     feature-major: a contiguous (d, N) array rebuilt after each change, of
-    which ``features`` is the (N, d) transposed view.
+    which ``features`` is the (N, d) transposed view, together with each
+    row's squared norm and the largest of them.
     """
 
     def __init__(self, max_chunks=4):
@@ -114,10 +112,10 @@ class ValidationSet:
         self.max_chunks = int(max_chunks)
         self._chunks = deque(maxlen=self.max_chunks)
         self._size = 0
-        self._columns = None  # (d, N)
-        self._labels = None
-        # (version, mask bytes), row indices and (d, rows) block of the last
-        # masked query, so a mask asked for again is not gathered again.
+        self._flat = None  # (d, N) columns, labels, squared norms, largest norm
+        # (version, mask bytes), then the row indices, (d, rows) block and
+        # norms of the last masked query, so a mask asked for again is not
+        # gathered again.
         self._masked = None
         # Bumped by every change to the window, so caches can key on it.
         self.version = 0
@@ -128,8 +126,7 @@ class ValidationSet:
         self._chunks.append(chunk)
         self._size = sum(len(c) for c in self._chunks)
         self.version += 1
-        self._columns = None
-        self._labels = None
+        self._flat = None
         return self
 
     @property
@@ -140,15 +137,26 @@ class ValidationSet:
         return self._size
 
     def _flatten(self):
-        if self._columns is None:
+        if self._flat is None:
             d = self._chunks[0].features.shape[1]
             # Into a row-major array: concatenate would follow the layout of
             # the transposed chunks.
-            self._columns = np.concatenate(
+            columns = np.concatenate(
                 [c.features.T for c in self._chunks], axis=1, out=np.empty((d, self._size))
             )
-            self._labels = np.concatenate([c.labels for c in self._chunks])
-        return self._columns, self._labels
+            # Row by row: einsum would buffer each operand of the whole pass.
+            # A norm that overflows is inf, and then every row is rescored.
+            norms = np.zeros(self._size)
+            with np.errstate(over="ignore"):
+                for row in columns:
+                    norms += row * row
+            self._flat = (
+                columns,
+                np.concatenate([c.labels for c in self._chunks]),
+                norms,
+                float(norms.max()),
+            )
+        return self._flat
 
     @property
     def features(self):
@@ -163,13 +171,14 @@ class ValidationSet:
         return self._flatten()[1]
 
     def _masked_block(self, where):
-        """Row indices of the mask and their (d, rows) column block, gathered
-        once per mask and window state."""
+        """Row indices of the mask, their (d, rows) column block and their
+        squared norms, gathered once per mask and window state."""
         mask = np.asarray(where, dtype=bool)
         key = (self.version, mask.tobytes())
         if self._masked is None or self._masked[0] != key:
+            columns, _, norms, _ = self._flatten()
             rows = np.flatnonzero(mask)
-            self._masked = (key, rows, self._flatten()[0][:, rows])
+            self._masked = (key, rows, columns[:, rows], norms[rows])
         return self._masked[1:]
 
     def knn_query(self, x, k, where=None):
@@ -182,57 +191,59 @@ class ValidationSet:
         A squared distance is ``einsum("ij,ij->i", diff, diff)`` over the
         row-major differences, and ties go to the earlier row; the indices
         and distances are exactly those of that scan over every row. The
-        search first sums the d squares of each row feature by feature, then
-        rescores with the einsum only the rows whose fast value is at most
-        the k-th smallest fast value b times (1 + RESCORE_MARGIN).
+        search first takes a fast value of every row a, F = |a|^2 - 2 a.x,
+        from the cached squared norms and one matrix-vector product, then
+        rescores with the einsum only the rows whose F is at most the k-th
+        smallest F, b, plus the slack RESCORE_MARGIN * S + (d + 2) *
+        UNDERFLOW_SLACK, where S is the largest cached norm plus x.x.
 
-        That keeps every true neighbor. Both values of a row sum the same d
-        nonnegative squares, in two orders. Each addition is correctly
-        rounded, with relative error at most u = 2**-53 (and none under
-        gradual underflow), so each sum lies within a factor (1 + u)**(d-1)
-        of the real sum of the squares, and the two sums within a factor
-        1 + delta of each other, delta about 2(d-1)u. Every fast value is at
-        least its exact value over 1 + delta, so b >= e / (1 + delta), where
-        e is the k-th smallest exact value. A true neighbor has exact value
-        at most e, so fast value at most e(1 + delta) <= b(1 + delta)**2,
-        which is below b(1 + RESCORE_MARGIN) while d is under about 10**6.
-        A fast value overflows to inf while its exact value is finite only
-        within delta of the largest double, and then b times the margin
-        overflows to inf as well. Among rows that include every true
-        neighbor, the exact values and the stable tie rule pick the same k
-        rows.
+        That keeps every true neighbor. With u = 2**-53 and g(n) = nu / (1 -
+        nu), a sum of n products in any order errs by at most g(n) times
+        the sum of their magnitudes. So the norm errs by g(d)|a|^2, the
+        product with -2x (exact) by g(d) sum |2 a_i x_i| <= g(d)(|a|^2 +
+        |x|^2), since 2|a_i x_i| <= a_i^2 + x_i^2, and after the final
+        addition F is within e = 2 g(d+1) S / (1 - g(d)) of G = |a|^2 - 2
+        a.x, which is the real squared distance s less |x|^2. The einsum
+        value E sums d rounded squares of rounded differences, so it is
+        within n = 2 g(d+2) S / (1 - g(d)) of s. The k rows with F <= b have
+        E <= b + |x|^2 + e + n, so the k-th smallest E is at most that too;
+        a true neighbor's E is at most the k-th smallest, so its F <= E + n
+        - |x|^2 + e <= b + 2(e + n) <= b + 8 g(d+2) S / (1 - g(d)), which is
+        below b + RESCORE_MARGIN * S, with room for the rounding of the
+        bound itself, while d is under about 10**6.
+
+        Gradual underflow adds to each product at most half the smallest
+        subnormal (sums and differences of subnormals are exact), so a few
+        such halves per feature over the four estimates above, which the
+        absolute term covers. When S exceeds SAFE_SCALE, or is inf or NaN,
+        a step of the fast pass could overflow, and every row is rescored.
+        Among rows that include every true neighbor, the exact values and
+        the stable tie rule pick the same k rows.
         """
         if self._size == 0:
             raise NotReadyError("validation set is empty")
         if k < 1:
             raise ValueError("k must be positive")
-        columns, y = self._flatten()
+        columns, y, norms, max_norm = self._flatten()
         x = np.asarray(x, dtype=np.float64).ravel()
         if len(x) != len(columns):
             raise ValueError(
                 f"feature dimension mismatch: expected {len(columns)}, got {len(x)}"
             )
         if where is None:
-            picked, sq = _nearest_columns(columns, x, k)
-            flat_idx = picked
+            flat_idx, sq = _nearest_columns(columns, norms, max_norm, x, k)
         else:
-            rows, block = self._masked_block(where)
-            picked, sq = _nearest_columns(block, x, k)
+            rows, block, block_norms = self._masked_block(where)
+            picked, sq = _nearest_columns(block, block_norms, max_norm, x, k)
             flat_idx = rows[picked]
-        return Neighborhood(
-            query=x,
-            indices=flat_idx,
-            distances=np.sqrt(sq),
-            features=columns.T[flat_idx],
-            labels=y[flat_idx],
-        )
+        return Neighborhood(indices=flat_idx, distances=np.sqrt(sq), labels=y[flat_idx])
 
     def knn_output_profiles(self, posteriors, query_posteriors, k):
         """k nearest instances by Euclidean distance between output profiles.
 
         posteriors holds the pool's (P, N, C) outputs over the flat view
         (see member_posteriors) and query_posteriors its (P, C) outputs on
-        the query, whose profile becomes the neighborhood's query point.
+        the query.
         """
         if self._size == 0:
             raise NotReadyError("validation set is empty")
@@ -240,15 +251,9 @@ class ValidationSet:
             raise NotReadyError("pool is empty")
         if k < 1:
             raise ValueError("k must be positive")
-        columns, y = self._flatten()
-        query_profile = query_posteriors.reshape(-1)
-        diff = output_profiles(posteriors) - query_profile
+        diff = output_profiles(posteriors) - query_posteriors.reshape(-1)
         sq = np.einsum("ij,ij->i", diff, diff)
         picked = _smallest_k(sq, k)
         return Neighborhood(
-            query=query_profile,
-            indices=picked,
-            distances=np.sqrt(sq[picked]),
-            features=columns.T[picked],
-            labels=y[picked],
+            indices=picked, distances=np.sqrt(sq[picked]), labels=self._flatten()[1][picked]
         )

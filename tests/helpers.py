@@ -140,10 +140,8 @@ def make_context(
         for i in range(n_members):
             query_posteriors[i, query_predictions[i]] = peak
     neighborhood = Neighborhood(
-        query=np.array([-1.0]),
         indices=np.arange(n_neighbors),
         distances=np.asarray(distances, dtype=np.float64),
-        features=np.arange(n_neighbors, dtype=np.float64).reshape(-1, 1),
         labels=labels,
     )
     return CompetenceContext(
@@ -202,13 +200,11 @@ def random_context(rng, max_pool=5, max_k=7, max_classes=3):
                 labels[n] = unpredicted[0]
     correctness = posteriors.argmax(axis=2) == labels[None, :]
     query_predictions = query_posteriors.argmax(axis=1)
-    neighborhood = Neighborhood(
-        query=rng.uniform(size=2),
-        indices=np.arange(k),
-        distances=distances,
-        features=rng.uniform(size=(k, 2)),
-        labels=labels,
-    )
+    # Two draws a neighborhood once spent on a query point and features,
+    # kept so that each seed still yields the same sequence of contexts.
+    rng.uniform(size=2)
+    rng.uniform(size=(k, 2))
+    neighborhood = Neighborhood(indices=np.arange(k), distances=distances, labels=labels)
     ctx = CompetenceContext(
         neighborhood=neighborhood,
         correctness=correctness,

@@ -2,12 +2,16 @@
 
 Everything here is a direct transliteration of the rule definitions in
 plain Python, sharing no code with the package under test. References
-return (selected_set, prediction, fallback_used). The one numpy reference,
-``einsum_knn``, is the window's distance as the package defines it, so the
-package's faster search can be held to it bit for bit.
+return (selected_set, prediction, fallback_used). The numpy references are
+held to the package bit for bit: ``einsum_knn`` is the window's distance as
+the package defines it, and the ``*_loop`` rules are the per-member loops
+that KNORA-E, LCA and A Posteriori once ran, returning the package's
+``SelectionResult``, so the vectorised rules can be held to every field.
 """
 
 import numpy as np
+
+from streamdcs.dcs import SelectionResult
 
 EPS_DISTANCE = 1e-12
 
@@ -189,3 +193,65 @@ def welford_moments(rows, labels, n_classes):
             means[c][j] += delta / counts[c]
             m2s[c][j] += delta * (x - means[c][j])
     return counts, means, m2s
+
+
+def _loop_vote(labels, n_classes):
+    return int(np.argmax(np.bincount(np.asarray(labels, dtype=np.int64), minlength=n_classes)))
+
+
+def _loop_single(ctx, member):
+    return SelectionResult(
+        selected=(int(member),),
+        prediction=int(ctx.query_predictions[member]),
+        n_neighbors_used=len(ctx.neighborhood),
+    )
+
+
+def knora_e_loop(ctx):
+    """KNORA-E as a walk from the whole neighborhood down to one neighbor."""
+    for m in range(len(ctx.neighborhood), 0, -1):
+        perfect = np.flatnonzero(ctx.correctness[:, :m].all(axis=1))
+        if len(perfect):
+            return SelectionResult(
+                selected=tuple(int(i) for i in perfect),
+                prediction=_loop_vote(ctx.query_predictions[perfect], ctx.n_classes),
+                n_neighbors_used=m,
+            )
+    return SelectionResult(
+        selected=tuple(range(ctx.n_members)),
+        prediction=_loop_vote(ctx.query_predictions, ctx.n_classes),
+        fallback_used=True,
+        n_neighbors_used=0,
+    )
+
+
+def lca_loop_competence(ctx):
+    """LCA's competence of each member, one member at a time."""
+    competence = np.zeros(ctx.n_members)
+    for i in range(ctx.n_members):
+        mask = ctx.labels == ctx.query_predictions[i]
+        if mask.any():
+            competence[i] = ctx.correctness[i, mask].mean()
+    return competence
+
+
+def lca_loop(ctx):
+    return _loop_single(ctx, np.argmax(lca_loop_competence(ctx)))
+
+
+def aposteriori_loop_competence(ctx):
+    """A Posteriori's competence of each member, one member at a time."""
+    d = np.where(ctx.distances > 0, ctx.distances, EPS_DISTANCE)
+    w = 1.0 / d
+    competence = np.zeros(ctx.n_members)
+    for i in range(ctx.n_members):
+        c = ctx.query_predictions[i]
+        mass = ctx.posteriors[i, :, c] * w
+        denominator = mass.sum()
+        if denominator > 0:
+            competence[i] = mass[ctx.labels == c].sum() / denominator
+    return competence
+
+
+def aposteriori_loop(ctx):
+    return _loop_single(ctx, np.argmax(aposteriori_loop_competence(ctx)))

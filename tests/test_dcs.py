@@ -272,6 +272,15 @@ class TestAPosteriori:
 
 
 class TestMCB:
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1, 1.5, True, "0.5"])
+    def test_threshold_outside_the_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match="similarity_threshold"):
+            MCB(similarity_threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [0, 1, 0.25, np.float64(0.7)])
+    def test_threshold_in_the_unit_interval_accepted(self, threshold):
+        assert MCB(similarity_threshold=threshold).similarity_threshold == threshold
+
     def test_all_neighbors_matching_query_behavior_reduces_to_ola(self):
         ctx = make_context(
             correctness=[[1, 1, 0], [1, 1, 0]],
@@ -497,6 +506,23 @@ class TestBuildContext:
         recomputed = ctx.posteriors.argmax(axis=2) == ctx.labels[None, :]
         assert np.array_equal(ctx.correctness, recomputed)
 
+    @pytest.mark.parametrize("space", ["feature", "profile"])
+    def test_given_window_correctness_equals_recomputation(self, rng, space):
+        X = rng.uniform(size=(40, 2))
+        y = rng.integers(0, 3, 40)
+        vs = make_validation(X, y)
+        pool = [LinearSoftmaxClassifier(rng.normal(size=(2, 3))) for _ in range(4)]
+        posteriors = member_posteriors(pool, X)
+        correctness = posteriors.argmax(axis=2) == y
+        for query in rng.uniform(size=(20, 2)):
+            reference = build_context(pool, vs, query, 6, space=space)
+            given = build_context(
+                pool, vs, query, 6, space=space, posteriors=posteriors, correctness=correctness
+            )
+            assert np.array_equal(given.neighborhood.indices, reference.neighborhood.indices)
+            assert given.correctness.dtype == bool
+            assert np.array_equal(given.correctness, reference.correctness)
+
     def test_f1_reconstruction_from_raw_learners(self):
         neighbors = np.array([[0.0], [1.0], [2.0]])
         labels = np.array([0, 1, 0])
@@ -588,3 +614,79 @@ def test_selectors_are_deterministic(rng):
 def test_unknown_rule_name_rejected():
     with pytest.raises(ValueError):
         make_rule("nope")
+
+
+def wide_context(rng):
+    """A context of 1-12 members, 0-40 neighbors and 2-4 classes, with
+    distances that repeat and reach zero, so the rules' sums run past the
+    eight terms numpy adds one by one. Dyadic posteriors make ties between
+    members and in votes common; some contexts leave every member wrong."""
+    n_members = int(rng.integers(1, 13))
+    k = int(rng.integers(0, 41))
+    n_classes = int(rng.integers(2, 5))
+    if rng.random() < 0.5:
+        posteriors = rng.multinomial(8, [1.0 / n_classes] * n_classes, size=(n_members, k)) / 8.0
+        query_posteriors = rng.multinomial(8, [1.0 / n_classes] * n_classes, size=n_members) / 8.0
+    else:
+        posteriors = rng.dirichlet(np.ones(n_classes), size=(n_members, k))
+        query_posteriors = rng.dirichlet(np.ones(n_classes), size=n_members)
+    distances = np.sort(rng.choice([0.0, 0.5, 1.0, rng.uniform(0.1, 3.0)], size=k))
+    labels = rng.integers(0, n_classes, k)
+    if rng.random() < 0.2:
+        # Every member wrong on every neighbor that has a class no member
+        # predicts there: that class becomes its label.
+        predicted = posteriors.argmax(axis=2)
+        for n in range(k):
+            unpredicted = sorted(set(range(n_classes)) - set(predicted[:, n].tolist()))
+            labels[n] = unpredicted[0] if unpredicted else labels[n]
+    return make_context(
+        posteriors.argmax(axis=2) == labels,
+        labels,
+        query_posteriors.argmax(axis=1),
+        distances=distances,
+        n_classes=n_classes,
+        posteriors=posteriors,
+        query_posteriors=query_posteriors,
+    )
+
+
+def masked_contexts(rng):
+    """Contexts from build_context whose mask leaves fewer rows than k
+    asks for, or none at all."""
+    X = rng.uniform(size=(40, 2))
+    y = rng.integers(0, 3, 40)
+    vs = make_validation(X, y)
+    pool = [LinearSoftmaxClassifier(rng.normal(size=(2, 3))) for _ in range(4)]
+    for rows in (0, 1, 3, 6):
+        where = np.zeros(40, dtype=bool)
+        where[rng.choice(40, rows, replace=False)] = True
+        yield build_context(pool, vs, rng.uniform(size=2), 7, where=where)
+
+
+LOOP_ORACLES = {"knora-e": ref.knora_e_loop, "lca": ref.lca_loop, "aposteriori": ref.aposteriori_loop}
+LOOP_COMPETENCES = {"lca": ref.lca_loop_competence, "aposteriori": ref.aposteriori_loop_competence}
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_ORACLES))
+def test_vectorised_rules_equal_their_loop_oracles(name, rng):
+    rule, oracle = make_rule(name), LOOP_ORACLES[name]
+    contexts = [wide_context(rng) for _ in range(600)] + [random_context(rng)[0] for _ in range(300)]
+    contexts += [ctx for _ in range(25) for ctx in masked_contexts(rng)]
+    seen = {"empty": 0, "short": 0, "all wrong": 0}
+    if name == "knora-e":
+        seen.update({"fallback": 0, "vote tie": 0})
+    for ctx in contexts:
+        result = rule.select(ctx)
+        assert result == oracle(ctx)
+        if name in LOOP_COMPETENCES:
+            # Bit for bit, so no near-tie can go the other way.
+            assert rule._competence(ctx).tobytes() == LOOP_COMPETENCES[name](ctx).tobytes()
+        seen["empty"] += len(ctx.neighborhood) == 0
+        seen["short"] += 0 < len(ctx.neighborhood) < 7
+        seen["all wrong"] += len(ctx.neighborhood) > 0 and not ctx.correctness.any()
+        if name == "knora-e":
+            seen["fallback"] += result.fallback_used
+            voters = ctx.query_predictions[list(result.selected)]
+            votes = np.bincount(voters, minlength=ctx.n_classes)
+            seen["vote tie"] += int((votes == votes.max()).sum() > 1)
+    assert all(seen.values()), seen

@@ -481,6 +481,51 @@ def test_k_must_be_a_positive_integer(method, k):
     assert model.k == 3
 
 
+@pytest.mark.parametrize("method", [DynseClassifier, MdeClassifier])
+def test_window_cache_is_filled_at_the_first_query_after_a_boundary(method):
+    X, y = stream_arrays(17, 500, noise_rate=0.1)
+    model = method(chunk_size=100, max_pool_size=3, window_chunks=2)
+    model.partial_fit(X[:300], y[:300], n_classes=2)
+    assert model._window_state is None
+    for end in (400, 500):
+        model.predict(X[end - 100 : end - 90])
+        state = (model.pool_.version, model.validation_.version)
+        assert model._window_state == state
+        posteriors, correctness = model._window_cache()
+        assert correctness.dtype == bool
+        assert np.array_equal(correctness, posteriors.argmax(axis=2) == model.validation_.labels)
+        model.partial_fit(X[end - 100 : end], y[end - 100 : end])
+        assert model._window_state == state  # a boundary refills nothing
+
+
+SIZE_PARAMETERS = [
+    (DynseClassifier, "chunk_size"),
+    (DynseClassifier, "max_pool_size"),
+    (DynseClassifier, "window_chunks"),
+    (MdeClassifier, "chunk_size"),
+    (MdeClassifier, "max_pool_size"),
+    (MdeClassifier, "window_chunks"),
+    (DesddClassifier, "chunk_size"),
+    (DesddClassifier, "n_subensembles"),
+    (DesddClassifier, "subensemble_size"),
+    (DesddClassifier, "window_size"),
+]
+
+
+@pytest.mark.parametrize("method, name", SIZE_PARAMETERS)
+def test_size_parameters_must_be_positive_integers(method, name):
+    # Rejected when the model is built, naming the parameter, rather than
+    # truncated or failing at the first chunk.
+    rejected = [2.5, True, 0, -2, "3"] + ([] if name == "window_size" else [None])
+    for value in rejected:
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            method(**{name: value})
+    model = method(**{name: np.int64(3)})
+    assert getattr(model, name) == 3
+    with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+        model.set_params(**{name: 1.5})
+
+
 def small_tree():
     return HoeffdingTreeClassifier(grace_period=50)
 
