@@ -72,12 +72,12 @@ class DynseClassifier(ChunkedStreamClassifier):
         return None
 
     def _predict_one(self, x):
-        # The forest is compiled before the window cache is refilled, so its
-        # small long-lived arrays are not placed among the refill's
-        # transients.
+        # The forest is compiled before the window cache is refilled and
+        # MDE's mask after it: of the orders tried, this one peaked lowest
+        # in resident memory.
         query_posteriors = self._query_posteriors(x)
-        where = self._query_rows()
         posteriors, correctness = self._window_cache()
+        where = self._query_rows()
         ctx = build_context(
             self.pool_.learners,
             self.validation_,

@@ -199,26 +199,26 @@ class ValidationSet:
 
         That keeps every true neighbor. With u = 2**-53 and g(n) = nu / (1 -
         nu), a sum of n products in any order errs by at most g(n) times
-        the sum of their magnitudes. So the norm errs by g(d)|a|^2, the
-        product with -2x (exact) by g(d) sum |2 a_i x_i| <= g(d)(|a|^2 +
-        |x|^2), since 2|a_i x_i| <= a_i^2 + x_i^2, and after the final
-        addition F is within e = 2 g(d+1) S / (1 - g(d)) of G = |a|^2 - 2
-        a.x, which is the real squared distance s less |x|^2. The einsum
+        the sum of their magnitudes. So the norm errs by g(d)|a|^2, and the
+        product with -2x, an exact scaling, by g(d) sum |2 a_i x_i| <=
+        g(d)(|a|^2 + |x|^2), since 2|a_i x_i| <= a_i^2 + x_i^2. After the
+        final addition F is within e = 2 g(d+1) S / (1 - g(d)) of |a|^2 -
+        2 a.x, which is the real squared distance s less |x|^2. The einsum
         value E sums d rounded squares of rounded differences, so it is
-        within n = 2 g(d+2) S / (1 - g(d)) of s. The k rows with F <= b have
-        E <= b + |x|^2 + e + n, so the k-th smallest E is at most that too;
-        a true neighbor's E is at most the k-th smallest, so its F <= E + n
-        - |x|^2 + e <= b + 2(e + n) <= b + 8 g(d+2) S / (1 - g(d)), which is
+        within h = 2 g(d+2) S / (1 - g(d)) of s. The k rows with F <= b have
+        E <= b + |x|^2 + e + h, so the k-th smallest E is at most that too;
+        a true neighbor's E is at most the k-th smallest, so its F <= E + h
+        - |x|^2 + e <= b + 2(e + h) <= b + 8 g(d+2) S / (1 - g(d)), which is
         below b + RESCORE_MARGIN * S, with room for the rounding of the
         bound itself, while d is under about 10**6.
 
         Gradual underflow adds to each product at most half the smallest
-        subnormal (sums and differences of subnormals are exact), so a few
-        such halves per feature over the four estimates above, which the
-        absolute term covers. When S exceeds SAFE_SCALE, or is inf or NaN,
-        a step of the fast pass could overflow, and every row is rescored.
-        Among rows that include every true neighbor, the exact values and
-        the stable tie rule pick the same k rows.
+        subnormal (sums and differences of subnormals are exact), so the
+        four estimates above gain at most a few such halves per feature,
+        which the absolute term covers. When S exceeds SAFE_SCALE, or is
+        inf or NaN, a step of the fast pass could overflow, and every row
+        is rescored. Among rows that include every true neighbor, the exact
+        values and the stable tie rule pick the same k rows.
         """
         if self._size == 0:
             raise NotReadyError("validation set is empty")
