@@ -1,12 +1,12 @@
 """Independent brute-force references used as oracles.
 
-Everything here is a direct transliteration of the rule definitions in
-plain Python, sharing no code with the package under test. References
-return (selected_set, prediction, fallback_used). The numpy references are
-held to the package bit for bit: ``einsum_knn`` is the window's distance as
-the package defines it, and the ``*_loop`` rules are the per-member loops
-that KNORA-E, LCA and A Posteriori once ran, returning the package's
-``SelectionResult``, so the vectorised rules can be held to every field.
+The plain-Python references transliterate the rule definitions, sharing no
+code with the package under test, and return (selected_set, prediction,
+fallback_used). The numpy references are held to the package bit for bit:
+``einsum_knn`` is the window's distance as the package defines it, and the
+``*_loop`` rules are the per-member loops that KNORA-E, LCA and A
+Posteriori once ran; they return the package's ``SelectionResult``, its
+only import, so the vectorised rules can be held to every field.
 """
 
 import numpy as np
