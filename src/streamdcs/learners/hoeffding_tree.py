@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
+from ..utils import check_positive_integer
 from .base import IncrementalClassifier, repeat_rows
 from .naive_bayes import VARIANCE_FLOOR
 
@@ -26,12 +28,14 @@ def hoeffding_bound(value_range, delta, n):
     return math.sqrt(value_range * value_range * math.log(1.0 / delta) / (2.0 * n))
 
 
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _normal_cdf(z):
-    flat = z.ravel()
-    out = np.empty(flat.shape)
-    for i, v in enumerate(flat):
-        out[i] = 0.5 * (1.0 + math.erf(v / _SQRT2))
-    return out.reshape(z.shape)
+    """Standard normal CDF of each entry of z, one ``math.erf`` call each."""
+    erf = np.fromiter(map(math.erf, (z / _SQRT2).ravel().tolist()), float, count=z.size)
+    return 0.5 * (1.0 + erf.reshape(z.shape))
 
 
 def _entropy_bits(counts):
@@ -44,13 +48,23 @@ def _entropy_bits(counts):
 
 
 def _entropy_bits_cols(counts):
-    """Column-wise entropy in bits of a (C, T) count matrix."""
+    """Entropy in bits of each column of counts, whose axis 0 holds the
+    classes; 0 for an empty column."""
     totals = counts.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = counts / totals
-        logs = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
-    h = -np.sum(p * logs, axis=0)
-    return np.where(totals > 0, h, 0.0)
+    p = np.divide(counts, totals, out=np.zeros_like(counts), where=totals > 0)
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    return -np.sum(p * logs, axis=0)
+
+
+def _thresholds(lo, hi, n):
+    """(J, n) split candidates: the inner points of np.linspace(lo[j], hi[j],
+    n + 2) for each j, by linspace's own arithmetic, so bit for bit."""
+    step = (hi - lo) / (n + 1)
+    out = np.arange(1.0, n + 1.0) * step[:, None] + lo[:, None]
+    # linspace takes another path where a step underflows to zero.
+    for j in np.flatnonzero(step == 0):
+        out[j] = np.linspace(lo[j], hi[j], n + 2)[1:-1]
+    return out
 
 
 class _Leaf:
@@ -65,15 +79,31 @@ class _Leaf:
         self.since_attempt = 0
         self.proba = None  # class distribution, cached until the leaf learns
 
-    def learn(self, x, c):
+    def learn(self, X, y, rows):
+        """Learn the rows of X at these indices, with y their labels: one
+        Welford step per row, in arrival order within each class, whose
+        moments no other class reads; then the feature range once, exactly,
+        as a minimum and a maximum do not round."""
         self.proba = None
-        self.class_counts[c] += 1.0
-        delta = x - self.mean[c]
-        self.mean[c] += delta / self.class_counts[c]
-        self.m2[c] += delta * (x - self.mean[c])
-        np.minimum(self.f_min, x, out=self.f_min)
-        np.maximum(self.f_max, x, out=self.f_max)
-        self.since_attempt += 1
+        by_class = {}
+        for i in rows:
+            by_class.setdefault(y[i], []).append(X[i])
+        for c, xs in by_class.items():
+            mean, m2, n = self.mean[c], self.m2[c], self.class_counts[c]
+            for x in xs:
+                n += 1.0
+                delta = x - mean
+                mean += delta / n
+                m2 += delta * (x - mean)
+            self.class_counts[c] = n
+        if len(rows) == 1:  # row-by-row training: no gather, no reduction
+            lo = hi = x
+        else:
+            block = X[rows]
+            lo, hi = block.min(axis=0), block.max(axis=0)
+        np.minimum(self.f_min, lo, out=self.f_min)
+        np.maximum(self.f_max, hi, out=self.f_max)
+        self.since_attempt += len(rows)
 
     def distribution(self):
         """Class frequencies of the instances learned, uniform when none."""
@@ -108,17 +138,19 @@ class HoeffdingTreeClassifier(IncrementalClassifier):
     Parameters
     ----------
     grace_period : int
-        Instances a leaf accumulates between split attempts. The default is
-        sized for chunk-scale training (around a thousand instances per
-        learner); raise it for long-lived trees.
+        Instances a leaf accumulates between split attempts, at least 1.
+        The default is sized for chunk-scale training (around a thousand
+        instances per learner); raise it for long-lived trees.
     split_confidence : float
-        Delta of the Hoeffding bound.
+        Delta of the Hoeffding bound, in (0, 1].
     tie_threshold : float
-        Bound below which near-ties split anyway. Chunk-scale default: with
-        equally informative features the gain margin never resolves, so ties
-        must break within a chunk's worth of instances.
+        Bound below which near-ties split anyway; finite and nonnegative.
+        Chunk-scale default: with equally informative features the gain
+        margin never resolves, so ties must break within a chunk's worth of
+        instances.
     n_split_candidates : int
-        Candidate thresholds per feature, evenly spaced over the observed range.
+        Candidate thresholds per feature, at least 1, evenly spaced over the
+        observed range.
     """
 
     def __init__(
@@ -129,6 +161,14 @@ class HoeffdingTreeClassifier(IncrementalClassifier):
         n_split_candidates=10,
         n_classes=None,
     ):
+        check_positive_integer("grace_period", grace_period)
+        check_positive_integer("n_split_candidates", n_split_candidates)
+        if not _is_real(split_confidence) or not 0.0 < split_confidence <= 1.0:
+            raise ValueError(f"split_confidence must be in (0, 1], got {split_confidence!r}")
+        if not _is_real(tie_threshold) or not 0.0 <= tie_threshold < math.inf:
+            raise ValueError(
+                f"tie_threshold must be finite and nonnegative, got {tie_threshold!r}"
+            )
         super().__init__(n_classes=n_classes)
         self.grace_period = grace_period
         self.split_confidence = split_confidence
@@ -146,14 +186,30 @@ class HoeffdingTreeClassifier(IncrementalClassifier):
     def _learn(self, X, y, weights):
         """Learn each row as many times in a row as its weight says, so a
         leaf that splits partway through a row's copies sends the rest of
-        them to its new children."""
+        them to its new children.
+
+        Rows are routed one at a time with the current tree, and each leaf
+        buffers the indices of the rows it reaches. A leaf learns its buffer
+        when the buffer would bring it to a split attempt, right before that
+        attempt, and every other buffer is learned when the call ends. This
+        trains the tree exactly as learning each row on arrival would: a row
+        changes only the leaf it reaches, so deferring it changes nothing
+        that another row reads before that leaf's next attempt; a leaf
+        learns its rows in their order of arrival (see ``_Leaf.learn``); and
+        a split changes the routing only of rows that arrive after it, which
+        are routed after it here too.
+        """
         if self._root is None:
             self._root = _Leaf(self.n_classes_, self.n_features_)
         X, y = repeat_rows(X, y, weights)
-        for x, c in zip(X, y):
+        y = y.tolist()
+        pending = {}  # leaf -> indices of the rows it has reached, in order
+        for i, x in enumerate(X):
             leaf, parent, side = self._route(x)
-            leaf.learn(x, c)
-            if leaf.since_attempt >= self.grace_period:
+            rows = pending.setdefault(leaf, [])
+            rows.append(i)
+            if leaf.since_attempt + len(rows) >= self.grace_period:
+                leaf.learn(X, y, pending.pop(leaf))
                 leaf.since_attempt = 0
                 split = self._evaluate_split(leaf)
                 if split is not None:
@@ -168,6 +224,8 @@ class HoeffdingTreeClassifier(IncrementalClassifier):
                         self._root = node
                     else:
                         setattr(parent, side, node)
+        for leaf, rows in pending.items():
+            leaf.learn(X, y, rows)
 
     def _route(self, x):
         node, parent, side = self._root, None, None
@@ -178,38 +236,46 @@ class HoeffdingTreeClassifier(IncrementalClassifier):
         return node, parent, side
 
     def _evaluate_split(self, leaf):
+        """The (feature, threshold) to split the leaf on, or None.
+
+        Every feature whose observed range is not a point is searched at
+        once, as (class, feature, threshold) arrays; each class's mass below
+        a threshold is its count times its Gaussian CDF there.
+        """
         counts = leaf.class_counts
         total = counts.sum()
         if np.count_nonzero(counts) < 2:
+            return None
+        features = np.flatnonzero(leaf.f_max > leaf.f_min)
+        if len(features) == 0:
             return None
         parent_h = _entropy_bits(counts)
         seen = counts > 0
         denom = np.maximum(counts - 1.0, 1.0)[:, None]
         sigma = np.sqrt(np.maximum(leaf.m2 / denom, VARIANCE_FLOOR))
 
+        thresholds = _thresholds(
+            leaf.f_min[features], leaf.f_max[features], self.n_split_candidates
+        )
+        z = (thresholds - leaf.mean[seen][:, features, None]) / sigma[seen][:, features, None]
+        # sides[:, 0] is the mass below each threshold, sides[:, 1] above.
+        sides = np.zeros((len(counts), 2) + thresholds.shape)
+        sides[seen, 0] = counts[seen, None, None] * _normal_cdf(z)
+        sides[:, 1] = counts[:, None, None] - sides[:, 0]
+        n_sides = sides.sum(axis=0)
+        h_sides = _entropy_bits_cols(sides)
+        gains = parent_h - (n_sides[0] * h_sides[0] + n_sides[1] * h_sides[1]) / total
+        best_t = np.argmax(gains, axis=1)
+        top = gains[np.arange(len(features)), best_t]
+
         best_gain, second_gain, best = 0.0, 0.0, None
-        for j in range(self.n_features_):
-            lo, hi = leaf.f_min[j], leaf.f_max[j]
-            if not hi > lo:
-                continue
-            thresholds = np.linspace(lo, hi, self.n_split_candidates + 2)[1:-1]
-            below = np.zeros((len(counts), len(thresholds)))
-            z = (thresholds[None, :] - leaf.mean[seen, j, None]) / sigma[seen, j, None]
-            below[seen] = counts[seen, None] * _normal_cdf(z)
-            above = counts[:, None] - below
-            n_below = below.sum(axis=0)
-            n_above = above.sum(axis=0)
-            mixed = (
-                n_below * _entropy_bits_cols(below)
-                + n_above * _entropy_bits_cols(above)
-            ) / total
-            gains = parent_h - mixed
-            t = int(np.argmax(gains))
-            if gains[t] > best_gain:
+        for k, gain in enumerate(top.tolist()):
+            if gain > best_gain:
                 second_gain = best_gain
-                best_gain, best = float(gains[t]), (j, float(thresholds[t]))
-            elif gains[t] > second_gain:
-                second_gain = float(gains[t])
+                best_gain = gain
+                best = (int(features[k]), float(thresholds[k, best_t[k]]))
+            elif gain > second_gain:
+                second_gain = gain
 
         if best is None or best_gain <= 0.0:
             return None

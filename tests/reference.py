@@ -5,13 +5,26 @@ code with the package under test, and return (selected_set, prediction,
 fallback_used). The numpy references are held to the package bit for bit:
 ``einsum_knn`` is the window's distance as the package defines it, and the
 ``*_loop`` rules are the per-member loops that KNORA-E, LCA and A
-Posteriori once ran; they return the package's ``SelectionResult``, its
-only import, so the vectorised rules can be held to every field.
+Posteriori once ran; they return the package's ``SelectionResult``, so the
+vectorised rules can be held to every field. ``LoopHoeffdingTree`` is the
+Hoeffding tree as it once learned, one row at a time and one feature at a
+time per split attempt, on the package's node types.
 """
+
+import math
 
 import numpy as np
 
 from streamdcs.dcs import SelectionResult
+from streamdcs.learners.base import repeat_rows
+from streamdcs.learners.hoeffding_tree import (
+    HoeffdingTreeClassifier,
+    _entropy_bits,
+    _Leaf,
+    _Split,
+    hoeffding_bound,
+)
+from streamdcs.learners.naive_bayes import VARIANCE_FLOOR
 
 EPS_DISTANCE = 1e-12
 
@@ -255,3 +268,100 @@ def aposteriori_loop_competence(ctx):
 
 def aposteriori_loop(ctx):
     return _loop_single(ctx, np.argmax(aposteriori_loop_competence(ctx)))
+
+
+def _loop_normal_cdf(z):
+    flat = z.ravel()
+    out = np.empty(flat.shape)
+    for i, v in enumerate(flat):
+        out[i] = 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
+    return out.reshape(z.shape)
+
+
+def _loop_entropy_bits_cols(counts):
+    totals = counts.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = counts / totals
+        logs = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
+    h = -np.sum(p * logs, axis=0)
+    return np.where(totals > 0, h, 0.0)
+
+
+def _loop_leaf_learn(leaf, x, c):
+    leaf.proba = None
+    leaf.class_counts[c] += 1.0
+    delta = x - leaf.mean[c]
+    leaf.mean[c] += delta / leaf.class_counts[c]
+    leaf.m2[c] += delta * (x - leaf.mean[c])
+    np.minimum(leaf.f_min, x, out=leaf.f_min)
+    np.maximum(leaf.f_max, x, out=leaf.f_max)
+    leaf.since_attempt += 1
+
+
+class LoopHoeffdingTree(HoeffdingTreeClassifier):
+    """Each row learned on arrival, and each split attempt searching one
+    feature at a time."""
+
+    def _learn(self, X, y, weights):
+        if self._root is None:
+            self._root = _Leaf(self.n_classes_, self.n_features_)
+        X, y = repeat_rows(X, y, weights)
+        for x, c in zip(X, y):
+            leaf, parent, side = self._route(x)
+            _loop_leaf_learn(leaf, x, c)
+            if leaf.since_attempt >= self.grace_period:
+                leaf.since_attempt = 0
+                split = self._evaluate_split(leaf)
+                if split is not None:
+                    self.retired_count_ += int(leaf.class_counts.sum())
+                    node = _Split(
+                        split[0],
+                        split[1],
+                        _Leaf(self.n_classes_, self.n_features_),
+                        _Leaf(self.n_classes_, self.n_features_),
+                    )
+                    if parent is None:
+                        self._root = node
+                    else:
+                        setattr(parent, side, node)
+
+    def _evaluate_split(self, leaf):
+        counts = leaf.class_counts
+        total = counts.sum()
+        if np.count_nonzero(counts) < 2:
+            return None
+        parent_h = _entropy_bits(counts)
+        seen = counts > 0
+        denom = np.maximum(counts - 1.0, 1.0)[:, None]
+        sigma = np.sqrt(np.maximum(leaf.m2 / denom, VARIANCE_FLOOR))
+
+        best_gain, second_gain, best = 0.0, 0.0, None
+        for j in range(self.n_features_):
+            lo, hi = leaf.f_min[j], leaf.f_max[j]
+            if not hi > lo:
+                continue
+            thresholds = np.linspace(lo, hi, self.n_split_candidates + 2)[1:-1]
+            below = np.zeros((len(counts), len(thresholds)))
+            z = (thresholds[None, :] - leaf.mean[seen, j, None]) / sigma[seen, j, None]
+            below[seen] = counts[seen, None] * _loop_normal_cdf(z)
+            above = counts[:, None] - below
+            n_below = below.sum(axis=0)
+            n_above = above.sum(axis=0)
+            mixed = (
+                n_below * _loop_entropy_bits_cols(below)
+                + n_above * _loop_entropy_bits_cols(above)
+            ) / total
+            gains = parent_h - mixed
+            t = int(np.argmax(gains))
+            if gains[t] > best_gain:
+                second_gain = best_gain
+                best_gain, best = float(gains[t]), (j, float(thresholds[t]))
+            elif gains[t] > second_gain:
+                second_gain = float(gains[t])
+
+        if best is None or best_gain <= 0.0:
+            return None
+        eps = hoeffding_bound(math.log2(self.n_classes_), self.split_confidence, total)
+        if best_gain - second_gain > eps or eps < self.tie_threshold:
+            return best
+        return None

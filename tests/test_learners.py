@@ -9,10 +9,11 @@ from streamdcs import (
     OnlineBaggingEnsemble,
     hoeffding_bound,
 )
-from streamdcs.learners.hoeffding_tree import CompiledForest
+from streamdcs.learners.hoeffding_tree import CompiledForest, _Split, _thresholds
 from streamdcs.utils import as_feature_matrix
 
 from helpers import ConstantClassifier
+from reference import LoopHoeffdingTree
 
 
 class TestGaussianNaiveBayes:
@@ -227,6 +228,100 @@ class TestHoeffdingTree:
         ht.partial_fit([[1.0, 2.0]], [0], n_classes=2)
         with pytest.raises(ValueError):
             ht.partial_fit([[1.0, 2.0, 3.0]], [1])
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("grace_period", 0),
+        ("grace_period", -5),
+        ("grace_period", 2.5),
+        ("tie_threshold", float("nan")),
+        ("tie_threshold", -1),
+        ("split_confidence", 0),
+        ("split_confidence", 2),
+        ("split_confidence", float("nan")),
+        ("n_split_candidates", 0),
+        ("n_split_candidates", 2.5),
+    ],
+)
+def test_tree_parameter_rejected_at_construction(name, value):
+    with pytest.raises(ValueError, match=name):
+        HoeffdingTreeClassifier(**{name: value})
+
+
+def tree_state(tree):
+    """Structure, thresholds by their hex form, every leaf's moments, range
+    and attempt counter by their bytes, and the retired tally."""
+
+    def walk(node):
+        if isinstance(node, _Split):
+            return ("split", node.feature, node.threshold.hex(), walk(node.left), walk(node.right))
+        arrays = (node.class_counts, node.mean, node.m2, node.f_min, node.f_max)
+        return ("leaf", node.since_attempt) + tuple(a.tobytes() for a in arrays)
+
+    return walk(tree._root), tree.retired_count_
+
+
+def n_splits(state):
+    node = state[0]
+    stack, count = [node], 0
+    while stack:
+        node = stack.pop()
+        if node[0] == "split":
+            count += 1
+            stack.extend(node[3:])
+    return count
+
+
+def test_buffered_training_matches_row_by_row_reference():
+    # The package trains each leaf from a buffer of the rows it reached and
+    # searches every feature at once; the reference learns each row on
+    # arrival and searches one feature at a time. Any batching, weighting
+    # or class and feature count must leave both trees bit for bit equal.
+    rng = np.random.default_rng(7)
+    split_trees = 0
+    for config in range(60):
+        d = int(rng.choice([1, 3, 5, 8]))
+        n_classes = int(rng.choice([2, 3, 4]))
+        params = dict(
+            grace_period=int(rng.choice([1, 7, 50])),
+            split_confidence=float(rng.choice([1e-7, 0.01])),
+            tie_threshold=float(rng.choice([0.05, 0.3, 0.6])),
+            n_split_candidates=int(rng.choice([1, 10])),
+        )
+        batch = int(rng.choice([1, 37, 1000]))
+        poisson = bool(rng.integers(2))
+        n = int(rng.integers(150, 700))
+        X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, d)
+        if d > 1:
+            X[:, rng.integers(d)] = rng.choice([-1.0, 2.0])  # a point range
+        score = X @ rng.normal(size=d) + rng.normal(scale=0.5, size=n)
+        y = np.digitize(score, np.quantile(score, np.linspace(0, 1, n_classes + 1)[1:-1]))
+        weights = rng.poisson(1.0, n) if poisson else np.ones(n, dtype=np.int64)
+
+        trees = HoeffdingTreeClassifier(**params), LoopHoeffdingTree(**params)
+        for tree in trees:
+            tree._set_shape(n_classes, d)
+            for start in range(0, n, batch):
+                rows = slice(start, start + batch)
+                tree._learn(X[rows], y[rows], weights[rows])
+        fast, loop = (tree_state(tree) for tree in trees)
+        assert fast == loop, (config, d, n_classes, params, batch, poisson)
+        split_trees += n_splits(loop) > 1
+    assert split_trees >= 30  # most configurations grow past a stump
+
+
+def test_thresholds_are_linspace_bit_for_bit():
+    rng = np.random.default_rng(3)
+    tiny = np.nextafter(0.0, 1.0)
+    lo = np.concatenate([rng.normal(size=20) * 100, [0.0, -tiny, 1.0, -3e-310]])
+    hi = lo + np.concatenate([rng.exponential(size=20), [tiny, tiny, 2e-16, 5e-324]])
+    for n in (1, 3, 10):
+        got = _thresholds(lo, hi, n)
+        for j in range(len(lo)):
+            want = np.linspace(lo[j], hi[j], n + 2)[1:-1]
+            assert got[j].tobytes() == want.tobytes(), (n, lo[j], hi[j])
 
 
 class TestOnlineBagging:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -570,3 +574,46 @@ def test_query_of_the_wrong_width_rejected(learner, width):
     for name, model in fitted_methods(LEARNERS[learner], n=300).items():
         with pytest.raises(ValueError, match=f"expected 3, got {width}"):
             model.predict(np.zeros((2, width)))
+
+
+RUN_AND_LIST_NUMPY_IMPORTS = """
+import sys
+
+import numpy
+
+before = set(sys.modules)
+from streamdcs import (
+    DesddClassifier, DynseClassifier, GaussianNaiveBayes, HoeffdingTreeClassifier,
+    MdeClassifier, SEAGenerator, prequential_run,
+)
+
+tree = {"learner_factory": HoeffdingTreeClassifier, "chunk_size": 200, "max_pool_size": 3,
+        "k": 7, "window_chunks": 2}
+for model in (
+    DynseClassifier(dcs_rule="knora-e", **tree),
+    MdeClassifier(**tree),
+    DesddClassifier(n_subensembles=3, subensemble_size=4, learner_factory=GaussianNaiveBayes,
+                    chunk_size=200, seed=1),
+):
+    prequential_run(SEAGenerator(seed=3, noise_rate=0.1), model, 1000)
+print(*sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy"))
+"""
+
+
+def test_runs_import_no_numpy_submodule_but_random():
+    # A numpy submodule imported lazily, such as numpy.ma, adds to a run's
+    # peak resident memory; the package and a DYNSE, MDE and DESDD run may
+    # import numpy.random only.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_AND_LIST_NUMPY_IMPORTS],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    imported = result.stdout.split()
+    assert "numpy.random" in imported
+    others = [m for m in imported if m != "numpy.random" and not m.startswith("numpy.random.")]
+    assert others == []
