@@ -8,6 +8,17 @@ from .base import IncrementalClassifier, repeat_rows
 from .naive_bayes import GaussianNaiveBayes, stacked_proba, welford_steps
 
 
+def tally_votes(votes, n_classes):
+    """(..., C, n) counts of each class among (..., M, n) member votes: each
+    bag's tally, row by row, over its M members on axis -2."""
+    return (votes[..., None, :] == np.arange(n_classes)[:, None]).sum(axis=-3)
+
+
+def _as_rows(X):
+    X = np.asarray(X, dtype=np.float64)
+    return X.reshape(1, -1) if X.ndim == 1 else X
+
+
 class OnlineBaggingEnsemble(IncrementalClassifier):
     """Fixed pool of incremental members trained with Poisson(lambda) weights.
 
@@ -109,22 +120,27 @@ class OnlineBaggingEnsemble(IncrementalClassifier):
         for m, member in enumerate(self.members):
             member._learn(X, y, counts[:, m])
 
-    def predict_proba(self, X):
-        """Share of the members voting for each class, row by row."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-        if self.n_classes_ is None:
-            return self._uniform_proba(len(X))
+    def _tallies(self, X):
+        """(C, n) counts of the members' votes on the rows of X."""
         if self._stack is not None:
             votes = np.argmax(stacked_proba(*self._stack, X), axis=2)  # (M, n)
         else:
             votes = np.stack([m.predict(X) for m in self.members])
-        counts = (votes[:, :, None] == np.arange(self.n_classes_)).sum(axis=0)
-        return counts / len(self.members)
+        return tally_votes(votes, self.n_classes_)
 
-    # The inherited argmax, restated on the class because the benchmark's
-    # tracer (perfbench/spans.py) wraps OnlineBaggingEnsemble.predict by name.
+    def predict_proba(self, X):
+        """Share of the members voting for each class, row by row."""
+        X = _as_rows(X)
+        if self.n_classes_ is None:
+            return self._uniform_proba(len(X))
+        return self._tallies(X).T / len(self.members)
+
+    # Restated on the class because the benchmark's tracer
+    # (perfbench/spans.py) wraps OnlineBaggingEnsemble.predict by name.
     def predict(self, X):
-        """Majority vote of the members, ties to the lowest class index."""
-        return np.argmax(self.predict_proba(X), axis=1)
+        """Majority vote of the members, ties to the lowest class index: the
+        argmax of predict_proba, taken from the tallies it divides."""
+        X = _as_rows(X)
+        if self.n_classes_ is None:
+            return np.zeros(len(X), dtype=np.intp)
+        return np.argmax(self._tallies(X), axis=0)

@@ -1,7 +1,9 @@
 """Incremental Gaussian naive Bayes.
 
 The arithmetic is written once over a leading member axis: ``welford_steps``
-trains a stack of M learners' moments, and ``stacked_proba`` scores them.
+trains a stack of M learners' moments, and ``stacked_proba`` scores them in
+two steps: ``stacked_constants`` per member, which a caller scoring one
+state many times computes once, and ``stacked_scores`` per block of rows.
 A lone ``GaussianNaiveBayes`` is a stack of one; an online-bagging ensemble
 of naive-Bayes members trains and votes all of them through one stack.
 """
@@ -42,33 +44,84 @@ def welford_steps(counts, mean, m2, X, y, weights):
         class_m2 += delta * (x - class_mean)
 
 
-def stacked_proba(counts, mean, m2, X):
-    """(M, n, C) posteriors of a stack of M learners over the rows of X.
+def reduce_in_order(ufunc, a, axis):
+    """ufunc reduced over one axis of a, one slice at a time in index order.
 
-    A learner that has seen no instance answers the uniform distribution.
+    numpy's own reduction picks its order from the shape: over a short
+    contiguous axis it adds in index order, but from 8 elements it adds
+    pairwise, and a length-1 axis elsewhere can make the reduced axis the
+    contiguous one. Reducing slice by slice keeps one order whatever the
+    shape. An axis of fewer than two elements is left to ``ufunc.reduce``.
     """
-    n_features = mean.shape[2]
-    if X.shape[1] != n_features:
-        raise ValueError(f"feature dimension mismatch: expected {n_features}, got {X.shape[1]}")
+    if a.shape[axis] < 2:
+        return ufunc.reduce(a, axis=axis)
+    lead = (slice(None),) * (axis % a.ndim)
+    out = ufunc(a[lead + (0,)], a[lead + (1,)])
+    for j in range(2, a.shape[axis]):
+        ufunc(out, a[lead + (j,)], out=out)
+    return out
+
+
+def stacked_constants(counts, mean, m2):
+    """The per-member constants of a stack's likelihood, shaped to broadcast
+    over its (M, C, d, n) terms: means, variances and log normalisers as
+    (M, C, d, 1), log priors and the mask of unseen classes as (M, C, 1),
+    and the mask of members that have seen no instance as (M, 1, 1)."""
     var = variances(counts, m2)
     total = counts.sum(axis=1, keepdims=True)  # a whole number: 0 or at least 1
     with np.errstate(divide="ignore"):
         log_prior = np.log(counts / np.maximum(total, 1.0))
-    # log P(x|c) summed over features, vectorized over (M, n, C, d) in one
-    # array, squared, divided and shifted in place. It is row-major whatever
-    # the layout of X, so the sum over features always runs in one order.
-    terms = np.subtract(X[None, :, None, :], mean[:, None, :, :], order="C")
+    return (
+        mean[..., None],
+        var[..., None],
+        np.log(2.0 * np.pi * var)[..., None],
+        log_prior[..., None],
+        (counts == 0)[..., None],
+        (total == 0)[..., None],
+    )
+
+
+def stacked_scores(constants, XT):
+    """(M, C, n) posteriors of a stack, from its ``stacked_constants``, over
+    the n columns of the (d, n) array XT, each of whose rows is contiguous.
+
+    The rows of X are the innermost axis, so each step is one long loop.
+    The sums over features and over classes, and the maximum over classes,
+    run in index order, whatever the shape, so a row's posteriors are the
+    same in any batch.
+    """
+    mean, var, log_norm, log_prior, unseen, untrained = constants
+    # log P(x|c) per feature, squared, divided and shifted in place.
+    terms = XT - mean
     terms *= terms
-    terms /= var[:, None, :, :]
-    terms += np.log(2.0 * np.pi * var)[:, None, :, :]
-    log_like = -0.5 * terms.sum(axis=3)
-    joint = log_prior[:, None, :] + log_like
-    np.copyto(joint, -np.inf, where=(counts == 0)[:, None, :])
+    terms /= var
+    terms += log_norm
+    joint = reduce_in_order(np.add, terms, axis=2)
+    joint *= -0.5
+    joint += log_prior
+    np.copyto(joint, -np.inf, where=unseen)
     # An unfit learner's rows are constant, so exactly 1 / C once normalised.
-    np.copyto(joint, 0.0, where=(total == 0)[:, :, None])
-    shifted = joint - joint.max(axis=2, keepdims=True)
-    proba = np.exp(shifted)
-    return proba / proba.sum(axis=2, keepdims=True)
+    np.copyto(joint, 0.0, where=untrained)
+    joint -= reduce_in_order(np.maximum, joint, axis=1)[:, None]
+    np.exp(joint, out=joint)
+    joint /= reduce_in_order(np.add, joint, axis=1)[:, None]
+    return joint
+
+
+def stacked_proba(counts, mean, m2, X):
+    """(M, n, C) posteriors of a stack of M learners over the rows of X, a
+    transposed view of ``stacked_scores``' (M, C, n) array.
+
+    A learner that has seen no instance answers the uniform distribution.
+    The sums over features and over classes run in index order, whatever
+    the shape, so scoring a batch or its rows one at a time gives the same
+    bits.
+    """
+    n_features = mean.shape[2]
+    if X.shape[1] != n_features:
+        raise ValueError(f"feature dimension mismatch: expected {n_features}, got {X.shape[1]}")
+    XT = np.ascontiguousarray(X.T)
+    return stacked_scores(stacked_constants(counts, mean, m2), XT).transpose(0, 2, 1)
 
 
 class GaussianNaiveBayes(IncrementalClassifier):

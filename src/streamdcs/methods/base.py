@@ -77,9 +77,11 @@ class BaseStreamClassifier(ParamsMixin, FitValidationMixin):
 
     def predict(self, X):
         X = as_feature_matrix(X, self.n_features_)
-        if not self.is_ready:
-            return np.zeros(len(X), dtype=np.int64)
-        return np.array([self._predict_one(x) for x in X], dtype=np.int64)
+        predictions = np.zeros(len(X), dtype=np.int64)
+        if self.is_ready:
+            for i, x in enumerate(X):
+                predictions[i] = self._predict_one(x)
+        return predictions
 
     def _predict_one(self, x):
         raise NotImplementedError

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from collections import deque
 from copy import copy
 
 import numpy as np
 
 from ..learners import GaussianNaiveBayes, OnlineBaggingEnsemble
-from ..learners.naive_bayes import stacked_proba, welford_steps
+from ..learners.bagging import tally_votes
+from ..learners.naive_bayes import stacked_constants, stacked_scores, welford_steps
 from ..utils import check_positive_integer
 from .base import BaseStreamClassifier
 
@@ -28,6 +28,11 @@ class DesddClassifier(BaseStreamClassifier):
     Each sub-ensemble still draws its own counts from its own generator, so
     every member computes what it would alone. Unpickling re-links both
     levels. Any other model trains and asks its sub-ensembles one by one.
+
+    The selection window is a ring of copies of the most recent rows, a
+    ``(W, d)`` array and ``(W,)`` labels, with the row at stream position i
+    stored at i mod W; re-selection counts hits, so it reads the ring in
+    place, in any order.
 
     Parameters
     ----------
@@ -90,7 +95,8 @@ class DesddClassifier(BaseStreamClassifier):
         ]
         self._stack = None  # (counts, mean, m2) of all sub-ensembles' members
         self.selected_index_ = 0
-        self._window = deque(maxlen=int(chunk_size if window_size is None else window_size))
+        self._window_X = None  # (W, d) ring of the window's rows, allocated with the shape
+        self._window_y = np.zeros(chunk_size if window_size is None else window_size, np.int64)
         self._seen = 0
         # Per-sub-ensemble count of instances delivered for training.
         self.instances_delivered_ = np.zeros(n_subensembles, dtype=np.int64)
@@ -112,6 +118,7 @@ class DesddClassifier(BaseStreamClassifier):
 
     def _set_shape(self, n_classes, n_features):
         super()._set_shape(n_classes, n_features)
+        self._window_X = np.zeros((len(self._window_y), self.n_features_))
         for sub in self.subensembles_:
             sub._set_shape(self.n_classes_, self.n_features_)
         members = [m for sub in self.subensembles_ for m in sub.members]
@@ -138,36 +145,53 @@ class DesddClassifier(BaseStreamClassifier):
                 for sub in self.subensembles_:
                     sub._learn(seg_X, seg_y, ones)
             self.instances_delivered_ += take
-            for row, label in zip(seg_X, seg_y):
-                self._window.append((row, label))
+            self._remember(seg_X, seg_y)
             self._seen += take
             offset += take
             if self._seen % self.chunk_size == 0:
                 self._reselect()
 
-    def _reselect(self):
-        X = np.stack([row for row, _ in self._window])
-        y = np.array([label for _, label in self._window])
-        if self._stack is not None:
-            # All S*M members vote on the window in S blocks of rows, and
-            # each block's hits are counted before the next is scored, so
-            # the temporaries stay the size of one sub-ensemble's vote over
-            # the whole window rather than growing S-fold.
-            S = self.n_subensembles
-            blocks = zip(np.array_split(X, S), np.array_split(y, S))
-            hits = sum((self._majorities(X_b) == y_b).sum(axis=1) for X_b, y_b in blocks)
-        else:
-            predictions = np.stack([sub.predict(X) for sub in self.subensembles_])
-            hits = (predictions == y).sum(axis=1)
-        self.selected_index_ = int(np.argmax(hits))
+    def _remember(self, X, y):
+        """Copy the rows at stream positions self._seen onwards into the
+        window's ring: at most two slice stores, one row store for one row."""
+        size = len(self._window_y)
+        skip = max(len(X) - size, 0)  # rows the same batch overwrites
+        X, y = X[skip:], y[skip:]
+        start = (self._seen + skip) % size
+        head = min(len(X), size - start)
+        self._window_X[start : start + head] = X[:head]
+        self._window_y[start : start + head] = y[:head]
+        if head < len(X):
+            self._window_X[: len(X) - head] = X[head:]
+            self._window_y[: len(X) - head] = y[head:]
 
-    def _majorities(self, X):
-        """(S, n) majority votes of each sub-ensemble over the rows of X,
-        ties to the lowest class, from one stacked likelihood of the block."""
-        votes = np.argmax(stacked_proba(*self._stack, X), axis=2)
-        votes = votes.reshape(self.n_subensembles, self.subensemble_size, len(X))
-        tallies = (votes[..., None] == np.arange(self.n_classes_)).sum(axis=1)
-        return np.argmax(tallies, axis=2)
+    def _reselect(self):
+        self.selected_index_ = int(np.argmax(self._hits()))
+
+    def _hits(self):
+        """(S,) counts of the window's rows on which each sub-ensemble's
+        majority vote is right."""
+        filled = min(self._seen, len(self._window_y))
+        X, y = self._window_X[:filled], self._window_y[:filled]
+        if self._stack is None:
+            predictions = np.stack([sub.predict(X) for sub in self.subensembles_])
+            return (predictions == y).sum(axis=1)
+        # All S*M members vote on the window in S blocks of rows, and each
+        # block's hits are counted before the next is scored, so the
+        # temporaries stay the size of one sub-ensemble's vote over the
+        # whole window rather than growing S-fold. The members' constants
+        # are computed once, for every block.
+        constants = stacked_constants(*self._stack)
+        S = self.n_subensembles
+        blocks = zip(np.array_split(np.ascontiguousarray(X.T), S, axis=1), np.array_split(y, S))
+        return sum((self._majorities(constants, XT) == y_b).sum(axis=1) for XT, y_b in blocks)
+
+    def _majorities(self, constants, XT):
+        """(S, n) majority votes of each sub-ensemble over the n columns of
+        XT, ties to the lowest class, from one stacked likelihood."""
+        votes = np.argmax(stacked_scores(constants, XT), axis=1)
+        votes = votes.reshape(self.n_subensembles, self.subensemble_size, XT.shape[1])
+        return np.argmax(tally_votes(votes, self.n_classes_), axis=1)
 
     def _predict_one(self, x):
         return int(self.subensembles_[self.selected_index_].predict(x.reshape(1, -1))[0])

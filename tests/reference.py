@@ -8,7 +8,9 @@ fallback_used). The numpy references are held to the package bit for bit:
 Posteriori once ran; they return the package's ``SelectionResult``, so the
 vectorised rules can be held to every field. ``LoopHoeffdingTree`` is the
 Hoeffding tree as it once learned, one row at a time and one feature at a
-time per split attempt, on the package's node types.
+time per split attempt, on the package's node types. ``rowmajor_stacked_proba``
+is the naive-Bayes stack's likelihood as it was once laid out, (M, n, C, d)
+with numpy's own reductions over features and classes.
 """
 
 import math
@@ -24,7 +26,7 @@ from streamdcs.learners.hoeffding_tree import (
     _Split,
     hoeffding_bound,
 )
-from streamdcs.learners.naive_bayes import VARIANCE_FLOOR
+from streamdcs.learners.naive_bayes import VARIANCE_FLOOR, variances
 
 EPS_DISTANCE = 1e-12
 
@@ -206,6 +208,26 @@ def welford_moments(rows, labels, n_classes):
             means[c][j] += delta / counts[c]
             m2s[c][j] += delta * (x - means[c][j])
     return counts, means, m2s
+
+
+def rowmajor_stacked_proba(counts, mean, m2, X):
+    """(M, n, C) posteriors of a stack of M naive-Bayes learners over the rows
+    of X, computed over one row-major (M, n, C, d) array."""
+    var = variances(counts, m2)
+    total = counts.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(counts / np.maximum(total, 1.0))
+    terms = np.subtract(X[None, :, None, :], mean[:, None, :, :], order="C")
+    terms *= terms
+    terms /= var[:, None, :, :]
+    terms += np.log(2.0 * np.pi * var)[:, None, :, :]
+    log_like = -0.5 * terms.sum(axis=3)
+    joint = log_prior[:, None, :] + log_like
+    np.copyto(joint, -np.inf, where=(counts == 0)[:, None, :])
+    np.copyto(joint, 0.0, where=(total == 0)[:, :, None])
+    shifted = joint - joint.max(axis=2, keepdims=True)
+    proba = np.exp(shifted)
+    return proba / proba.sum(axis=2, keepdims=True)
 
 
 def _loop_vote(labels, n_classes):

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -281,7 +280,7 @@ class TestDesdd:
             assert model._stack is not None
             for _ in range(25):
                 rows = rng.choice(len(X), size=int(rng.integers(1, 7)), replace=False)
-                model._window = deque(zip(X[rows], y[rows]))
+                model._window_X, model._window_y = X[rows], y[rows]
                 model._reselect()
                 subs = model.subensembles_
                 accuracies = [np.mean(sub.predict(X[rows]) == y[rows]) for sub in subs]
@@ -295,8 +294,32 @@ class TestDesdd:
             n_subensembles=2, subensemble_size=2, chunk_size=50, window_size=30, seed=0
         )
         model.partial_fit(X, y, n_classes=2)
-        assert len(model._window) == 30
-        assert DesddClassifier(chunk_size=40)._window.maxlen == 40
+        # A ring of the last 30 rows, the one at stream position i at i mod 30.
+        ring = np.arange(90, 120) % 30
+        assert np.array_equal(model._window_X[ring], X[90:])
+        assert np.array_equal(model._window_y[ring], y[90:])
+        assert DesddClassifier(chunk_size=40)._window_y.shape == (40,)
+
+    def test_selection_window_holds_copies_of_the_callers_rows(self):
+        # A caller that refills one buffer for every batch, and clears it
+        # after each call, selects exactly as one that hands over fresh rows.
+        X, y = stream_arrays(10, 1000, noise_rate=0.1)
+
+        def selections(reuse):
+            model = DesddClassifier(chunk_size=100, seed=3)
+            buffer = np.empty((50, X.shape[1]))
+            picked = []
+            for start in range(0, len(X), 50):
+                batch = buffer if reuse else np.empty_like(buffer)
+                batch[:] = X[start : start + 50]
+                model.partial_fit(batch, y[start : start + 50], n_classes=2)
+                buffer[:] = 0.0
+                picked.append(model.selected_index_)
+            return picked
+
+        fresh = selections(reuse=False)
+        assert len(set(fresh)) > 1
+        assert selections(reuse=True) == fresh
 
     def test_determinism(self):
         X, y = stream_arrays(7, 300)
