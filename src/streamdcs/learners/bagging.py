@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import IncrementalClassifier, repeat_rows
+from .base import IncrementalClassifier, as_rows, repeat_rows
 from .naive_bayes import GaussianNaiveBayes, stacked_proba, welford_steps
 
 
@@ -12,11 +12,6 @@ def tally_votes(votes, n_classes):
     """(..., C, n) counts of each class among (..., M, n) member votes: each
     bag's tally, row by row, over its M members on axis -2."""
     return (votes[..., None, :] == np.arange(n_classes)[:, None]).sum(axis=-3)
-
-
-def _as_rows(X):
-    X = np.asarray(X, dtype=np.float64)
-    return X.reshape(1, -1) if X.ndim == 1 else X
 
 
 class OnlineBaggingEnsemble(IncrementalClassifier):
@@ -130,7 +125,7 @@ class OnlineBaggingEnsemble(IncrementalClassifier):
 
     def predict_proba(self, X):
         """Share of the members voting for each class, row by row."""
-        X = _as_rows(X)
+        X = as_rows(X)
         if self.n_classes_ is None:
             return self._uniform_proba(len(X))
         return self._tallies(X).T / len(self.members)
@@ -140,7 +135,7 @@ class OnlineBaggingEnsemble(IncrementalClassifier):
     def predict(self, X):
         """Majority vote of the members, ties to the lowest class index: the
         argmax of predict_proba, taken from the tallies it divides."""
-        X = _as_rows(X)
+        X = as_rows(X)
         if self.n_classes_ is None:
             return np.zeros(len(X), dtype=np.intp)
         return np.argmax(self._tallies(X), axis=0)

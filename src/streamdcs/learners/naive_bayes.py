@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import IncrementalClassifier
+from .base import IncrementalClassifier, as_rows
 
 VARIANCE_FLOOR = 1e-9
 
@@ -44,7 +44,7 @@ def welford_steps(counts, mean, m2, X, y, weights):
         class_m2 += delta * (x - class_mean)
 
 
-def reduce_in_order(ufunc, a, axis):
+def _reduce_in_order(ufunc, a, axis):
     """ufunc reduced over one axis of a, one slice at a time in index order.
 
     numpy's own reduction picks its order from the shape: over a short
@@ -96,15 +96,15 @@ def stacked_scores(constants, XT):
     terms *= terms
     terms /= var
     terms += log_norm
-    joint = reduce_in_order(np.add, terms, axis=2)
+    joint = _reduce_in_order(np.add, terms, axis=2)
     joint *= -0.5
     joint += log_prior
     np.copyto(joint, -np.inf, where=unseen)
     # An unfit learner's rows are constant, so exactly 1 / C once normalised.
     np.copyto(joint, 0.0, where=untrained)
-    joint -= reduce_in_order(np.maximum, joint, axis=1)[:, None]
+    joint -= _reduce_in_order(np.maximum, joint, axis=1)[:, None]
     np.exp(joint, out=joint)
-    joint /= reduce_in_order(np.add, joint, axis=1)[:, None]
+    joint /= _reduce_in_order(np.add, joint, axis=1)[:, None]
     return joint
 
 
@@ -164,9 +164,7 @@ class GaussianNaiveBayes(IncrementalClassifier):
         return variances(self._counts, self._m2)
 
     def predict_proba(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
+        X = as_rows(X)
         if self._counts is None:
             return self._uniform_proba(len(X))
         return stacked_proba(*self._stack_of_one(), X)[0]
