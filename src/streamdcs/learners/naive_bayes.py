@@ -67,32 +67,28 @@ def stacked_constants(counts, mean, m2):
     over its (M, C, d, n) terms: means, variances and log normalisers as
     (M, C, d, 1), log priors and the mask of unseen classes as (M, C, 1),
     and the mask of members that have seen no instance as (M, 1, 1)."""
-    var = variances(counts, m2)
+    var = variances(counts, m2)[..., None]
+    counts = counts[..., None]
     total = counts.sum(axis=1, keepdims=True)  # a whole number: 0 or at least 1
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(counts / np.maximum(total, 1.0))
-    return (
-        mean[..., None],
-        var[..., None],
-        np.log(2.0 * np.pi * var)[..., None],
-        log_prior[..., None],
-        (counts == 0)[..., None],
-        (total == 0)[..., None],
-    )
+    unseen = counts == 0
+    # stacked_scores masks an unseen class's log prior to -inf, so adding the
+    # mask only swaps log(0), and its divide-by-zero warning, for log(1).
+    log_prior = np.log(counts / np.maximum(total, 1.0) + unseen)
+    return mean[..., None], var, np.log(2.0 * np.pi * var), log_prior, unseen, total == 0
 
 
 def stacked_scores(constants, XT):
     """(M, C, n) posteriors of a stack, from its ``stacked_constants``, over
-    the n columns of the (d, n) array XT, each of whose rows is contiguous.
+    the n columns of the (d, n) array XT.
 
-    The rows of X are the innermost axis, so each step is one long loop.
-    The sums over features and over classes, and the maximum over classes,
-    run in index order, whatever the shape, so a row's posteriors are the
-    same in any batch.
+    The rows of X are the innermost axis, whatever the layout of XT, so each
+    step is one long loop. The sums over features and over classes, and the
+    maximum over classes, run in index order, whatever the shape, so a row's
+    posteriors are the same in any batch.
     """
     mean, var, log_norm, log_prior, unseen, untrained = constants
     # log P(x|c) per feature, squared, divided and shifted in place.
-    terms = XT - mean
+    terms = np.subtract(XT, mean, order="C")
     terms *= terms
     terms /= var
     terms += log_norm
@@ -120,8 +116,7 @@ def stacked_proba(counts, mean, m2, X):
     n_features = mean.shape[2]
     if X.shape[1] != n_features:
         raise ValueError(f"feature dimension mismatch: expected {n_features}, got {X.shape[1]}")
-    XT = np.ascontiguousarray(X.T)
-    return stacked_scores(stacked_constants(counts, mean, m2), XT).transpose(0, 2, 1)
+    return stacked_scores(stacked_constants(counts, mean, m2), X.T).transpose(0, 2, 1)
 
 
 class GaussianNaiveBayes(IncrementalClassifier):

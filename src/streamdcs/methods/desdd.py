@@ -183,7 +183,7 @@ class DesddClassifier(BaseStreamClassifier):
         # are computed once, for every block.
         constants = stacked_constants(*self._stack)
         S = self.n_subensembles
-        blocks = zip(np.array_split(np.ascontiguousarray(X.T), S, axis=1), np.array_split(y, S))
+        blocks = zip(np.array_split(X.T, S, axis=1), np.array_split(y, S))
         return sum((self._majorities(constants, XT) == y_b).sum(axis=1) for XT, y_b in blocks)
 
     def _majorities(self, constants, XT):
