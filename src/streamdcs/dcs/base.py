@@ -92,7 +92,6 @@ def build_context(
     x,
     k,
     space="feature",
-    n_classes=None,
     posteriors=None,
     where=None,
     query_posteriors=None,
@@ -122,9 +121,9 @@ def build_context(
         raise ValueError(f"unknown neighborhood space {space!r}")
     if posteriors is None:
         posteriors = member_posteriors(learners, validation_set.features)
-    x = np.asarray(x, dtype=np.float64).ravel()
     if query_posteriors is None:
-        query_posteriors = np.vstack([m.predict_proba(x.reshape(1, -1)) for m in learners])
+        row = np.reshape(x, (1, -1))
+        query_posteriors = np.vstack([m.predict_proba(row) for m in learners])
     if space == "feature":
         neighborhood = validation_set.knn_query(x, k, where=where)
     else:
@@ -143,7 +142,7 @@ def build_context(
         posteriors=neighbor_posteriors,
         query_predictions=query_posteriors.argmax(axis=1),
         query_posteriors=query_posteriors,
-        n_classes=n_classes if n_classes else posteriors.shape[2],
+        n_classes=posteriors.shape[2],
     )
 
 

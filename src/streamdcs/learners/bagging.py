@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import IncrementalClassifier, as_rows, repeat_rows
+from ..utils import as_rows
+from .base import IncrementalClassifier, repeat_rows
 from .naive_bayes import GaussianNaiveBayes, stacked_proba, welford_steps
 
 

@@ -7,12 +7,6 @@ import numpy as np
 from ..utils import FitValidationMixin, ParamsMixin
 
 
-def as_rows(X):
-    """X as a float64 array of rows, a single row given as a 1-D array."""
-    X = np.asarray(X, dtype=np.float64)
-    return X.reshape(1, -1) if X.ndim == 1 else X
-
-
 def repeat_rows(X, y, weights):
     """X and y with each row repeated as many times as its integer weight."""
     if (weights == 1).all():

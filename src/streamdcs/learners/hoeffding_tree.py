@@ -7,7 +7,7 @@ import numbers
 
 import numpy as np
 
-from ..utils import check_positive_integer
+from ..utils import as_rows, check_positive_integer
 from .base import IncrementalClassifier, repeat_rows
 from .naive_bayes import VARIANCE_FLOOR
 
@@ -293,9 +293,7 @@ class HoeffdingTreeClassifier(IncrementalClassifier):
         positions that reach it with the same ``<=`` test as training, so a
         NaN feature goes right. A branch no row takes is never visited.
         """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
+        X = as_rows(X)
         if self._root is None:
             return self._uniform_proba(len(X))
         out = np.empty((len(X), self.n_classes_))

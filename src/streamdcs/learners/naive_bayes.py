@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import IncrementalClassifier, as_rows
+from ..utils import as_rows
+from .base import IncrementalClassifier
 
 VARIANCE_FLOOR = 1e-9
 

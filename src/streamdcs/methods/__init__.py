@@ -1,4 +1,4 @@
-from .base import BaseStreamClassifier, ChunkedStreamClassifier, Pool
+from .base import BaseStreamClassifier, Pool
 from .dynse import DynseClassifier
 from .desdd import DesddClassifier
 from .mde import MdeClassifier
@@ -12,7 +12,6 @@ METHODS = {
 
 __all__ = [
     "BaseStreamClassifier",
-    "ChunkedStreamClassifier",
     "Pool",
     "DynseClassifier",
     "DesddClassifier",

@@ -5,18 +5,26 @@ from __future__ import annotations
 import numpy as np
 
 from ..dcs import DCSRule, build_context, make_rule
-from ..learners import HoeffdingTreeClassifier
+from ..learners.hoeffding_tree import CompiledForest, HoeffdingTreeClassifier
+from ..streams import Chunk
 from ..utils import check_positive_integer
-from .base import ChunkedStreamClassifier
+from ..validation import ValidationSet, member_posteriors
+from .base import BaseStreamClassifier, Pool
 
 
-class DynseClassifier(ChunkedStreamClassifier):
+class DynseClassifier(BaseStreamClassifier):
     """Dynamic selection over a pool of chunk-trained classifiers.
 
-    Every full chunk trains one fresh learner, which joins a bounded pool,
-    and then slides into the validation window. Queries build a region of
-    competence from the window and delegate the decision to the configured
-    selection rule.
+    Every full chunk of the stream trains one fresh learner, which joins a
+    bounded pool; then every member is scored by ``_member_scores``, the
+    lowest score leaves if the pool overflows (ties to the oldest), and the
+    chunk slides into a validation window of the most recent chunks.
+    ``scores_`` keeps the surviving members' scores from the last boundary.
+
+    A query builds a region of competence from the window and delegates the
+    decision to the selection rule. Pooled members are frozen, so their
+    posteriors over the window, and whether each is right on each row, are
+    computed once per pool and window state rather than once per query.
 
     Parameters
     ----------
@@ -48,7 +56,10 @@ class DynseClassifier(ChunkedStreamClassifier):
         window_chunks=4,
         pruning="age",
     ):
-        super().__init__(chunk_size, max_pool_size, window_chunks)
+        super().__init__()
+        check_positive_integer("chunk_size", chunk_size)
+        check_positive_integer("max_pool_size", max_pool_size)
+        check_positive_integer("window_chunks", window_chunks)
         if pruning not in ("age", "accuracy"):
             raise ValueError("pruning must be 'age' or 'accuracy'")
         check_positive_integer("k", k)
@@ -60,8 +71,76 @@ class DynseClassifier(ChunkedStreamClassifier):
         self.window_chunks = window_chunks
         self.pruning = pruning
         self._selector = dcs_rule if isinstance(dcs_rule, DCSRule) else make_rule(dcs_rule)
+        self._buffer = Chunk(chunk_size)
+        self._chunk_index = 0
+        self.learners_created = 0
+        self.pool_ = Pool(max_pool_size)
+        self.validation_ = ValidationSet(window_chunks)
+        self._posteriors = None
+        self._correctness = None
+        self._window_state = None
+        self._forest = None
+        self._forest_state = None
+        self.scores_ = []
+
+    @property
+    def is_ready(self):
+        return len(self.pool_) > 0 and len(self.validation_) > 0
+
+    def _window_cache(self):
+        """The pool's (P, N, C) posteriors over the validation window's flat
+        view, and the (P, N) matrix of whether each member's argmax on a row
+        (ties to the lowest class) is the row's label; both are refilled in
+        place after any change to the pool or the window."""
+        state = (self.pool_.version, self.validation_.version)
+        if state != self._window_state:
+            features, labels = self.validation_.features, self.validation_.labels
+            shape = (len(self.pool_), len(labels))
+            if self._correctness is None or self._correctness.shape != shape:
+                self._correctness = np.empty(shape, dtype=bool)
+            self._posteriors = member_posteriors(
+                self.pool_.learners, features, out=self._posteriors
+            )
+            # One member at a time, so no (P, N) array of indices is held.
+            for member, row in zip(self._posteriors, self._correctness):
+                np.equal(member.argmax(axis=1), labels, out=row)
+            self._window_state = state
+        return self._posteriors, self._correctness
+
+    def _query_posteriors(self, x):
+        """The pool's (P, C) posteriors on the query row x through one
+        forest compiled per pool state, when every member is a Hoeffding
+        tree; otherwise None, and each member is asked in turn."""
+        if self._forest_state != self.pool_.version:
+            learners = self.pool_.learners
+            trees = all(type(m) is HoeffdingTreeClassifier for m in learners)
+            self._forest = CompiledForest(learners) if trees else None
+            self._forest_state = self.pool_.version
+        return None if self._forest is None else self._forest.predict_proba(x)
+
+    def _learn_batch(self, X, y):
+        offset = 0
+        while offset < len(X):
+            offset += self._buffer.add(X[offset:], y[offset:])
+            if self._buffer.is_full:
+                self._on_chunk(self._buffer)
+                self._chunk_index += 1
+                self._buffer = Chunk(self._buffer.capacity)
+
+    def _on_chunk(self, chunk):
+        learner = self.learner_factory()
+        learner.partial_fit(chunk.features, chunk.labels, n_classes=self.n_classes_)
+        self.pool_.append(learner, self._chunk_index)
+        self.learners_created += 1
+        self.scores_ = list(self._member_scores(chunk))
+        if self.pool_.over_capacity:
+            victim = int(np.argmin(self.scores_))
+            self.pool_.evict(victim)
+            self.scores_.pop(victim)
+        self.validation_.push_chunk(chunk)
 
     def _member_scores(self, chunk):
+        """One score per member, oldest first, before the chunk joins the window."""
         # A window is empty only at the first chunk, which cannot overflow.
         if self.pruning == "accuracy" and len(self.validation_):
             return np.mean(self._window_cache()[1], axis=1)
@@ -77,16 +156,14 @@ class DynseClassifier(ChunkedStreamClassifier):
         # in resident memory.
         query_posteriors = self._query_posteriors(x)
         posteriors, correctness = self._window_cache()
-        where = self._query_rows()
         ctx = build_context(
             self.pool_.learners,
             self.validation_,
             x,
             self.k,
             space=self._selector.neighborhood_space,
-            n_classes=self.n_classes_,
             posteriors=posteriors,
-            where=where,
+            where=self._query_rows(),
             query_posteriors=query_posteriors,
             correctness=correctness,
         )

@@ -45,9 +45,7 @@ class MdeClassifier(DynseClassifier):
         k=7,
         window_chunks=4,
     ):
-        super().__init__(
-            learner_factory, MDEVote(k), chunk_size, max_pool_size, k, window_chunks
-        )
+        super().__init__(learner_factory, MDEVote(k), chunk_size, max_pool_size, k, window_chunks)
         self.minority_class_ = None
         self._minority_mask = None
         self._minority_state = None

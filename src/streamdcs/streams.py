@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import StreamFormatError
+from .utils import check_positive_integer
 
 # Per-concept decision thresholds of the SEA family; the label is
 # 1 when feature_0 + feature_1 <= threshold, and feature_2 is noise-only.
@@ -33,8 +34,7 @@ class Chunk:
     """
 
     def __init__(self, capacity):
-        if capacity < 1:
-            raise ValueError("chunk capacity must be positive")
+        check_positive_integer("capacity", capacity)
         self.capacity = int(capacity)
         self._X = None
         self._y = None

@@ -8,12 +8,16 @@ import numbers
 import numpy as np
 
 
+def as_rows(X):
+    """X as a float64 array of rows, a single row given as a 1-D array."""
+    X = np.asarray(X, dtype=np.float64)
+    return X.reshape(1, -1) if X.ndim == 1 else X
+
+
 def as_feature_matrix(X, n_features=None):
     """Coerce X to a 2-D float64 array of finite values, optionally enforcing
     the column count."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X.reshape(1, -1)
+    X = as_rows(X)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D feature matrix, got ndim={X.ndim}")
     if not np.isfinite(X).all():
@@ -29,12 +33,19 @@ def as_feature_matrix(X, n_features=None):
 
 
 def as_label_vector(y, n_rows):
-    """Coerce y to a 1-D int64 array of n_rows nonnegative class indices."""
+    """Coerce y to a 1-D int64 array of n_rows nonnegative class indices,
+    from integer or boolean labels, or float labels that are whole numbers."""
     y = np.asarray(y)
     if y.ndim != 1:
         y = y.ravel()
     if len(y) != n_rows:
         raise ValueError(f"X and y length mismatch: {n_rows} vs {len(y)}")
+    kind = y.dtype.kind
+    if kind not in "biu":
+        whole = np.isfinite(y) & (np.trunc(y) == y) if kind == "f" else np.zeros(len(y), bool)
+        if not whole.all():
+            row = int(np.argmin(whole))
+            raise ValueError(f"labels must be class indices; row {row} holds {y.tolist()[row]!r}")
     y = y.astype(np.int64)
     if len(y) > 0 and y.min() < 0:
         raise ValueError("labels must be nonnegative class indices")

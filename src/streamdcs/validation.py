@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotReadyError
+from .utils import check_positive_integer
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,7 @@ class ValidationSet:
     """
 
     def __init__(self, max_chunks=4):
-        if max_chunks < 1:
-            raise ValueError("window must retain at least one chunk")
+        check_positive_integer("max_chunks", max_chunks)
         self.max_chunks = int(max_chunks)
         self._chunks = deque(maxlen=self.max_chunks)
         self._size = 0
@@ -174,6 +174,8 @@ class ValidationSet:
         """Row indices of the mask, their (d, rows) column block and their
         squared norms, gathered once per mask and window state."""
         mask = np.asarray(where, dtype=bool)
+        if mask.shape != (self._size,):
+            raise ValueError(f"mask of shape {mask.shape} for a window of {self._size} rows")
         key = (self.version, mask.tobytes())
         if self._masked is None or self._masked[0] != key:
             columns, _, norms, _ = self._flatten()
@@ -184,9 +186,9 @@ class ValidationSet:
     def knn_query(self, x, k, where=None):
         """k nearest instances to x by Euclidean distance in feature space.
 
-        where, if given, is a boolean mask restricting the searchable rows
-        of the flat view. k is clamped to the number of searchable rows, so
-        an all-false mask gives an empty neighborhood.
+        where, if given, is a boolean mask with one entry per row of the
+        flat view, restricting the searchable rows. k is clamped to the
+        number of searchable rows, so an all-false mask gives none.
 
         A squared distance is ``einsum("ij,ij->i", diff, diff)`` over the
         row-major differences, and ties go to the earlier row; the indices

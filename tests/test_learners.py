@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -450,3 +452,30 @@ def test_non_finite_features_rejected(value):
         as_feature_matrix(X)
     with pytest.raises(ValueError, match="finite"):
         GaussianNaiveBayes().partial_fit(X, [0, 1, 0], n_classes=2)
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([0.4, 1.9, 0.0], "row 0 holds 0.4"),
+        (["0", "1", "1"], "row 0 holds '0'"),
+        ([0.0, np.nan, 1.0], "row 1 holds nan"),
+        ([0.0, 1.0, np.inf], "row 2 holds inf"),
+    ],
+)
+def test_labels_that_are_not_class_indices_rejected(labels, message):
+    # Named and rejected before anything is fixed, not truncated to a class.
+    nb = GaussianNaiveBayes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            nb.partial_fit([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], labels)
+    assert nb.n_classes_ is None
+
+
+def test_whole_float_and_boolean_labels_train_as_integers():
+    X = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
+    expected = GaussianNaiveBayes().partial_fit(X, [1, 0, 1]).predict_proba(X)
+    for labels in ([1.0, 0.0, 1.0], [True, False, True], np.array([1, 0, 1], dtype=np.uint8)):
+        model = GaussianNaiveBayes().partial_fit(X, labels)
+        assert model.predict_proba(X).tobytes() == expected.tobytes()

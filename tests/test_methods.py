@@ -139,7 +139,6 @@ class TestDynse:
                         q,
                         model.k,
                         space=model._selector.neighborhood_space,
-                        n_classes=2,
                     )
                 ).prediction
                 for q in queries
@@ -552,6 +551,17 @@ def test_size_parameters_must_be_positive_integers(method, name):
     with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
         model.set_params(**{name: 1.5})
 
+
+
+@pytest.mark.parametrize("method", [DynseClassifier, MdeClassifier, DesddClassifier])
+def test_fractional_labels_rejected_and_whole_ones_accepted(method):
+    X = [[0.0], [1.0], [2.0]]
+    model = method(chunk_size=2)
+    with pytest.raises(ValueError, match="row 1 holds 1.5"):
+        model.partial_fit(X, [0.0, 1.5, 1.0])
+    assert model.n_classes_ is None
+    model.partial_fit(X, [0.0, 2.0, 1.0])
+    assert model.n_classes_ == 3
 
 def small_tree():
     return HoeffdingTreeClassifier(grace_period=50)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from streamdcs import Chunk, NotReadyError, ValidationSet, member_posteriors, output_profiles
+from streamdcs import (
+    Chunk,
+    NotReadyError,
+    Pool,
+    ValidationSet,
+    member_posteriors,
+    output_profiles,
+)
 
 from helpers import (
     ConstantClassifier,
@@ -96,6 +103,12 @@ class TestKnnQuery:
         assert len(neigh) == 0
         assert neigh.indices.shape == (0,) and neigh.labels.shape == (0,)
         assert neigh.distances.shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(9,), (11,), (10, 1), ()])
+    def test_mask_that_is_not_one_entry_per_row_rejected(self, shape):
+        vs = make_validation(np.arange(10.0).reshape(-1, 1), [0] * 10)
+        with pytest.raises(ValueError, match="10 rows"):
+            vs.knn_query(np.array([9.0]), 1, where=np.ones(shape, dtype=bool))
 
     def test_neighbor_set_invariant_to_chunk_order(self, rng):
         a_X, a_y = rng.uniform(size=(6, 2)), rng.integers(0, 2, 6)
@@ -244,3 +257,14 @@ class TestProfileQuery:
         vs = make_validation([[0.0]], [0])
         with pytest.raises(NotReadyError):
             vs.knn_output_profiles(np.empty((0, 1, 2)), np.empty((0, 2)), 1)
+
+
+@pytest.mark.parametrize(
+    "make, name", [(Chunk, "capacity"), (ValidationSet, "max_chunks"), (Pool, "max_size")]
+)
+def test_container_sizes_must_be_positive_integers(make, name):
+    # Rejected by name rather than truncated to an integer.
+    for value in (2.7, True, 0, -1, "3", None):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            make(value)
+    assert getattr(make(np.int64(3)), name) == 3
