@@ -110,7 +110,7 @@ def build_context(
     here, with one predict_proba call per member and the neighbors' argmax.
     where, a boolean mask over the flat view, restricts a feature-space
     search to its rows (see ValidationSet.knn_query); when it matches no
-    row, the neighborhood is empty.
+    row, the neighborhood is empty. A profile-space search takes no mask.
     """
     learners = list(learners)
     if not learners:
@@ -119,6 +119,8 @@ def build_context(
         raise NotReadyError("validation set is empty")
     if space not in ("feature", "profile"):
         raise ValueError(f"unknown neighborhood space {space!r}")
+    if space == "profile" and where is not None:
+        raise ValueError("a profile-space search takes no row mask")
     if posteriors is None:
         posteriors = member_posteriors(learners, validation_set.features)
     if query_posteriors is None:

@@ -7,7 +7,7 @@ import numbers
 
 import numpy as np
 
-from ..utils import as_rows, check_positive_integer
+from ..utils import as_rows, check_positive_integer, check_width
 from .base import IncrementalClassifier, repeat_rows
 from .naive_bayes import VARIANCE_FLOOR
 
@@ -291,11 +291,14 @@ class HoeffdingTreeClassifier(IncrementalClassifier):
 
         All rows descend together: each split node partitions the row
         positions that reach it with the same ``<=`` test as training, so a
-        NaN feature goes right. A branch no row takes is never visited.
+        NaN feature goes right. A branch no row takes is never visited. A
+        fitted tree raises ValueError for rows of another width than it was
+        trained on.
         """
         X = as_rows(X)
         if self._root is None:
             return self._uniform_proba(len(X))
+        check_width(X.shape[1], self.n_features_)
         out = np.empty((len(X), self.n_classes_))
         # rows is every row of X until a node splits them.
         pending = [(self._root, slice(None))]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..utils import as_rows
+from ..utils import as_rows, check_width
 from .base import IncrementalClassifier
 
 VARIANCE_FLOOR = 1e-9
@@ -114,9 +114,7 @@ def stacked_proba(counts, mean, m2, X):
     the shape, so scoring a batch or its rows one at a time gives the same
     bits.
     """
-    n_features = mean.shape[2]
-    if X.shape[1] != n_features:
-        raise ValueError(f"feature dimension mismatch: expected {n_features}, got {X.shape[1]}")
+    check_width(X.shape[1], mean.shape[2])
     return stacked_scores(stacked_constants(counts, mean, m2), X.T).transpose(0, 2, 1)
 
 

@@ -72,65 +72,57 @@ class DynseClassifier(BaseStreamClassifier):
         self.pruning = pruning
         self._selector = dcs_rule if isinstance(dcs_rule, DCSRule) else make_rule(dcs_rule)
         self._buffer = Chunk(chunk_size)
-        self._chunk_index = 0
         self.learners_created = 0
         self.pool_ = Pool(max_pool_size)
         self.validation_ = ValidationSet(window_chunks)
-        self._posteriors = None
-        self._correctness = None
-        self._window_state = None
-        self._forest = None
-        self._forest_state = None
+        # (key, forest, posteriors, correctness, rows); see _query_state.
+        self._query_cache = (None,) * 5
         self.scores_ = []
 
     @property
     def is_ready(self):
         return len(self.pool_) > 0 and len(self.validation_) > 0
 
-    def _window_cache(self):
-        """The pool's (P, N, C) posteriors over the validation window's flat
-        view, and the (P, N) matrix of whether each member's argmax on a row
-        (ties to the lowest class) is the row's label; both are refilled in
-        place after any change to the pool or the window."""
-        state = (self.pool_.version, self.validation_.version)
-        if state != self._window_state:
-            features, labels = self.validation_.features, self.validation_.labels
-            shape = (len(self.pool_), len(labels))
-            if self._correctness is None or self._correctness.shape != shape:
-                self._correctness = np.empty(shape, dtype=bool)
-            self._posteriors = member_posteriors(
-                self.pool_.learners, features, out=self._posteriors
-            )
-            # One member at a time, so no (P, N) array of indices is held.
-            for member, row in zip(self._posteriors, self._correctness):
-                np.equal(member.argmax(axis=1), labels, out=row)
-            self._window_state = state
-        return self._posteriors, self._correctness
+    def _query_state(self):
+        """The forest, window posteriors, correctness matrix and row mask
+        every query reads, refilled together, in that order, at the first
+        query after a change to the pool or the window.
 
-    def _query_posteriors(self, x):
-        """The pool's (P, C) posteriors on the query row x through one
-        forest compiled per pool state, when every member is a Hoeffding
-        tree; otherwise None, and each member is asked in turn."""
-        if self._forest_state != self.pool_.version:
+        The forest is the pool compiled when every member is a Hoeffding
+        tree, else None. The (P, N, C) posteriors over the window's flat view
+        and the (P, N) matrix of whether each member's argmax on a row (ties
+        to the lowest class) is its label reuse the last buffers that fit.
+        The mask is ``_query_rows()``. Of the fill orders tried, this one
+        peaked lowest in resident memory.
+        """
+        key = (self.pool_.version, self.validation_.version)
+        if self._query_cache[0] != key:
             learners = self.pool_.learners
             trees = all(type(m) is HoeffdingTreeClassifier for m in learners)
-            self._forest = CompiledForest(learners) if trees else None
-            self._forest_state = self.pool_.version
-        return None if self._forest is None else self._forest.predict_proba(x)
+            forest = CompiledForest(learners) if trees else None
+            _, _, posteriors, correctness, _ = self._query_cache
+            posteriors = member_posteriors(learners, self.validation_.features, out=posteriors)
+            if correctness is None or correctness.shape != posteriors.shape[:2]:
+                correctness = np.empty(posteriors.shape[:2], dtype=bool)
+            # One member at a time, so no (P, N) array of indices is held.
+            labels = self.validation_.labels
+            for member, row in zip(posteriors, correctness):
+                np.equal(member.argmax(axis=1), labels, out=row)
+            self._query_cache = (key, forest, posteriors, correctness, self._query_rows())
+        return self._query_cache[1:]
 
     def _learn_batch(self, X, y):
         offset = 0
         while offset < len(X):
-            offset += self._buffer.add(X[offset:], y[offset:])
+            offset += self._buffer._store(X[offset:], y[offset:])
             if self._buffer.is_full:
                 self._on_chunk(self._buffer)
-                self._chunk_index += 1
                 self._buffer = Chunk(self._buffer.capacity)
 
     def _on_chunk(self, chunk):
         learner = self.learner_factory()
         learner.partial_fit(chunk.features, chunk.labels, n_classes=self.n_classes_)
-        self.pool_.append(learner, self._chunk_index)
+        self.pool_.append(learner, self.learners_created)
         self.learners_created += 1
         self.scores_ = list(self._member_scores(chunk))
         if self.pool_.over_capacity:
@@ -143,7 +135,9 @@ class DynseClassifier(BaseStreamClassifier):
         """One score per member, oldest first, before the chunk joins the window."""
         # A window is empty only at the first chunk, which cannot overflow.
         if self.pruning == "accuracy" and len(self.validation_):
-            return np.mean(self._window_cache()[1], axis=1)
+            labels = self.validation_.labels
+            posteriors = member_posteriors(self.pool_.learners, self.validation_.features)
+            return [np.mean(member.argmax(axis=1) == labels) for member in posteriors]
         return self.pool_.births
 
     def _query_rows(self):
@@ -151,11 +145,7 @@ class DynseClassifier(BaseStreamClassifier):
         return None
 
     def _predict_one(self, x):
-        # The forest is compiled before the window cache is refilled and
-        # MDE's mask after it: of the orders tried, this one peaked lowest
-        # in resident memory.
-        query_posteriors = self._query_posteriors(x)
-        posteriors, correctness = self._window_cache()
+        forest, posteriors, correctness, rows = self._query_state()
         ctx = build_context(
             self.pool_.learners,
             self.validation_,
@@ -163,8 +153,8 @@ class DynseClassifier(BaseStreamClassifier):
             self.k,
             space=self._selector.neighborhood_space,
             posteriors=posteriors,
-            where=self._query_rows(),
-            query_posteriors=query_posteriors,
+            where=rows,
+            query_posteriors=None if forest is None else forest.predict_proba(x),
             correctness=correctness,
         )
         return self._selector.select(ctx).prediction

@@ -47,8 +47,6 @@ class MdeClassifier(DynseClassifier):
     ):
         super().__init__(learner_factory, MDEVote(k), chunk_size, max_pool_size, k, window_chunks)
         self.minority_class_ = None
-        self._minority_mask = None
-        self._minority_state = None
 
     def _member_scores(self, chunk):
         # The chunk that rescores the pool also names the class queries search.
@@ -61,9 +59,7 @@ class MdeClassifier(DynseClassifier):
         ]
 
     def _query_rows(self):
-        """Mask of the window's minority-class rows, kept per window state."""
-        state = (self.validation_.version, self.minority_class_)
-        if state != self._minority_state:
-            self._minority_mask = self.validation_.labels == self.minority_class_
-            self._minority_state = state
-        return self._minority_mask
+        """Mask of the window's minority-class rows. The class moves only at
+        a chunk boundary, which also changes the pool, so the mask is kept
+        with the rest of the query state."""
+        return self.validation_.labels == self.minority_class_

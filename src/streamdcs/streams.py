@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import StreamFormatError
-from .utils import check_positive_integer
+from .utils import as_feature_matrix, as_label_vector, check_positive_integer
 
 # Per-concept decision thresholds of the SEA family; the label is
 # 1 when feature_0 + feature_1 <= threshold, and feature_2 is noise-only.
@@ -60,9 +60,14 @@ class Chunk:
         return self._y[: self._size]
 
     def add(self, X, y):
-        """Append up to the remaining capacity; returns the number consumed."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
+        """Append up to the remaining capacity; returns the number consumed.
+        Rows that are not finite or not of the chunk's width, or labels that
+        are not one class index per row, raise ValueError and store nothing."""
+        X = as_feature_matrix(X, None if self._X is None else self._X.shape[1])
+        return self._store(X, as_label_vector(y, len(X)))
+
+    def _store(self, X, y):
+        """``add`` for a float64 matrix and int64 labels already checked."""
         if self._X is None:
             self._X = np.empty((self.capacity, X.shape[1]))
             self._y = np.empty(self.capacity, dtype=np.int64)

@@ -25,11 +25,15 @@ def as_feature_matrix(X, n_features=None):
         raise ValueError(
             f"features must be finite; row {row}, column {column} holds {float(X[row, column])}"
         )
-    if n_features is not None and X.shape[1] != n_features:
-        raise ValueError(
-            f"feature dimension mismatch: expected {n_features}, got {X.shape[1]}"
-        )
+    if n_features is not None:
+        check_width(X.shape[1], n_features)
     return X
+
+
+def check_width(width, n_features):
+    """Reject rows of another width than n_features."""
+    if width != n_features:
+        raise ValueError(f"feature dimension mismatch: expected {n_features}, got {width}")
 
 
 def as_label_vector(y, n_rows):
@@ -93,11 +97,9 @@ def check_positive_integer(name, value):
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-def majority_vote(labels, n_classes, weights=None):
+def majority_vote(labels, n_classes):
     """Most voted class index; ties resolve to the lowest class index."""
-    counts = np.bincount(
-        np.asarray(labels, dtype=np.int64), weights=weights, minlength=n_classes
-    )
+    counts = np.bincount(np.asarray(labels, dtype=np.int64), minlength=n_classes)
     return int(np.argmax(counts))
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotReadyError
-from .utils import check_positive_integer
+from .utils import check_positive_integer, check_width
 
 
 @dataclass(frozen=True)
@@ -228,10 +228,7 @@ class ValidationSet:
             raise ValueError("k must be positive")
         columns, y, norms, max_norm = self._flatten()
         x = np.asarray(x, dtype=np.float64).ravel()
-        if len(x) != len(columns):
-            raise ValueError(
-                f"feature dimension mismatch: expected {len(columns)}, got {len(x)}"
-            )
+        check_width(len(x), len(columns))
         if where is None:
             flat_idx, sq = _nearest_columns(columns, norms, max_norm, x, k)
         else:

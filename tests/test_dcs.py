@@ -486,6 +486,13 @@ class TestBuildContext:
         assert np.array_equal(ctx.neighborhood.indices, expected.indices)
         assert (ctx.labels == 1).all()
 
+    def test_profile_search_rejects_a_row_mask(self, rng):
+        # Refused rather than ignored: a profile search cannot apply it.
+        vs = make_validation(rng.uniform(size=(20, 2)), rng.integers(0, 2, 20))
+        pool = [LinearSoftmaxClassifier(rng.normal(size=(2, 2))) for _ in range(2)]
+        with pytest.raises(ValueError, match="profile-space search takes no row mask"):
+            build_context(pool, vs, rng.uniform(size=2), 3, space="profile", where=np.zeros(20, bool))
+
     def test_shapes(self, rng):
         X = rng.uniform(size=(20, 4))
         y = rng.integers(0, 3, 20)

@@ -231,6 +231,16 @@ class TestHoeffdingTree:
         with pytest.raises(ValueError):
             ht.partial_fit([[1.0, 2.0, 3.0]], [1])
 
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_query_of_the_wrong_width_rejected(self, rng, width):
+        X = rng.uniform(size=(3000, 3))
+        y = (X.sum(axis=1) + 0.2 * rng.normal(size=3000) > 1.5).astype(int)
+        ht = HoeffdingTreeClassifier(grace_period=50).partial_fit(X, y, n_classes=2)
+        assert ht.n_leaves > 1
+        for method in (ht.predict_proba, ht.predict):
+            with pytest.raises(ValueError, match=f"expected 3, got {width}"):
+                method(np.zeros((2, width)))
+
 
 @pytest.mark.parametrize(
     "name, value",

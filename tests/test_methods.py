@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -507,21 +508,28 @@ def test_k_must_be_a_positive_integer(method, k):
     assert model.k == 3
 
 
-@pytest.mark.parametrize("method", [DynseClassifier, MdeClassifier])
+@pytest.mark.parametrize(
+    "method",
+    [
+        DynseClassifier,
+        MdeClassifier,
+        pytest.param(partial(DynseClassifier, pruning="accuracy"), id="accuracy-pruning"),
+    ],
+)
 def test_window_cache_is_filled_at_the_first_query_after_a_boundary(method):
     X, y = stream_arrays(17, 500, noise_rate=0.1)
     model = method(chunk_size=100, max_pool_size=3, window_chunks=2)
     model.partial_fit(X[:300], y[:300], n_classes=2)
-    assert model._window_state is None
+    assert model._query_cache[0] is None
     for end in (400, 500):
         model.predict(X[end - 100 : end - 90])
         state = (model.pool_.version, model.validation_.version)
-        assert model._window_state == state
-        posteriors, correctness = model._window_cache()
+        assert model._query_cache[0] == state
+        _, posteriors, correctness, _ = model._query_state()
         assert correctness.dtype == bool
         assert np.array_equal(correctness, posteriors.argmax(axis=2) == model.validation_.labels)
         model.partial_fit(X[end - 100 : end], y[end - 100 : end])
-        assert model._window_state == state  # a boundary refills nothing
+        assert model._query_cache[0] == state  # a boundary refills nothing
 
 
 SIZE_PARAMETERS = [

@@ -57,6 +57,27 @@ class TestWindow:
             assert vs.features.ravel().astype(int).tolist() == expected
 
 
+class TestChunk:
+    @pytest.mark.parametrize(
+        "X, y, message",
+        [
+            (np.zeros((3, 3)), [0.5, 1.7, 2.2], "row 0 holds 0.5"),
+            (np.zeros((3, 3)), [1], "length mismatch"),
+            (np.zeros((2, 3)), [[0, 1], [1, 0]], "length mismatch"),
+            ([[0.0, np.nan, 1.0]], [0], "features must be finite"),
+            (np.full((1, 1), 7.0), [1], "expected 3, got 1"),
+            (np.full((1, 4), 7.0), [1], "expected 3, got 4"),
+        ],
+    )
+    def test_bad_rows_or_labels_rejected_and_nothing_stored(self, X, y, message):
+        # Rather than truncated, broadcast or stored as they are.
+        chunk = Chunk(4)
+        chunk.add(np.ones((1, 3)), [0])
+        with pytest.raises(ValueError, match=message):
+            chunk.add(X, y)
+        assert chunk.features.tolist() == [[1.0, 1.0, 1.0]] and chunk.labels.tolist() == [0]
+
+
 class TestKnnQuery:
     def test_forced_by_distances(self):
         vs = make_validation([[0.0], [5.0], [10.0]], [0, 1, 1])
