@@ -116,16 +116,6 @@ class _Leaf:
         return self.proba
 
 
-class _Split:
-    __slots__ = ("feature", "threshold", "left", "right")
-
-    def __init__(self, feature, threshold, left, right):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-
-
 class HoeffdingTreeClassifier(IncrementalClassifier):
     """Very fast decision tree for streams.
 
@@ -174,7 +164,10 @@ class HoeffdingTreeClassifier(IncrementalClassifier):
         self.split_confidence = split_confidence
         self.tie_threshold = tie_threshold
         self.n_split_candidates = n_split_candidates
-        self._root = None
+        # The tree as one list addressed by position, root first: a leaf is
+        # its _Leaf, a split a (feature, threshold, left, right) tuple whose
+        # children are positions after its own. Empty until the shape is set.
+        self._nodes = []
         # Class-count mass retired when a leaf is replaced by a split node;
         # leaf totals plus this tally equal the instances ever fitted.
         self.retired_count_ = 0
@@ -182,6 +175,11 @@ class HoeffdingTreeClassifier(IncrementalClassifier):
     # Inherited, restated on the class because the benchmark's tracer
     # (perfbench/spans.py) wraps HoeffdingTreeClassifier.partial_fit by name.
     partial_fit = IncrementalClassifier.partial_fit
+
+    def _set_shape(self, n_classes, n_features):
+        super()._set_shape(n_classes, n_features)
+        if not self._nodes:
+            self._nodes.append(_Leaf(self.n_classes_, self.n_features_))
 
     def _learn(self, X, y, weights):
         """Learn each row as many times in a row as its weight says, so a
@@ -199,41 +197,38 @@ class HoeffdingTreeClassifier(IncrementalClassifier):
         a split changes the routing only of rows that arrive after it, which
         are routed after it here too.
         """
-        if self._root is None:
-            self._root = _Leaf(self.n_classes_, self.n_features_)
         X, y = repeat_rows(X, y, weights)
         y = y.tolist()
-        pending = {}  # leaf -> indices of the rows it has reached, in order
+        pending = {}  # leaf position -> indices of the rows it has reached, in order
         for i, x in enumerate(X):
-            leaf, parent, side = self._route(x)
-            rows = pending.setdefault(leaf, [])
+            j = self._route(x)
+            rows = pending.setdefault(j, [])
             rows.append(i)
+            leaf = self._nodes[j]
             if leaf.since_attempt + len(rows) >= self.grace_period:
-                leaf.learn(X, y, pending.pop(leaf))
+                leaf.learn(X, y, pending.pop(j))
                 leaf.since_attempt = 0
                 split = self._evaluate_split(leaf)
                 if split is not None:
-                    self.retired_count_ += int(leaf.class_counts.sum())
-                    node = _Split(
-                        split[0],
-                        split[1],
-                        _Leaf(self.n_classes_, self.n_features_),
-                        _Leaf(self.n_classes_, self.n_features_),
-                    )
-                    if parent is None:
-                        self._root = node
-                    else:
-                        setattr(parent, side, node)
-        for leaf, rows in pending.items():
-            leaf.learn(X, y, rows)
+                    self._split(j, *split)
+        for j, rows in pending.items():
+            self._nodes[j].learn(X, y, rows)
 
     def _route(self, x):
-        node, parent, side = self._root, None, None
-        while isinstance(node, _Split):
-            parent = node
-            side = "left" if x[node.feature] <= node.threshold else "right"
-            node = getattr(node, side)
-        return node, parent, side
+        """Position of the leaf that the row x reaches."""
+        nodes, j = self._nodes, 0
+        while isinstance(nodes[j], tuple):
+            feature, threshold, left, right = nodes[j]
+            j = left if x[feature] <= threshold else right
+        return j
+
+    def _split(self, j, feature, threshold):
+        """Turn the leaf at position j into a split on feature at threshold
+        whose children are two fresh leaves, appended, and retire its counts."""
+        nodes = self._nodes
+        self.retired_count_ += int(nodes[j].class_counts.sum())
+        nodes[j] = (feature, threshold, len(nodes), len(nodes) + 1)
+        nodes += (_Leaf(self.n_classes_, self.n_features_) for _ in range(2))
 
     def _evaluate_split(self, leaf):
         """The (feature, threshold) to split the leaf on, or None.
@@ -296,44 +291,37 @@ class HoeffdingTreeClassifier(IncrementalClassifier):
         trained on.
         """
         X = as_rows(X)
-        if self._root is None:
+        if not self._nodes:
             return self._uniform_proba(len(X))
         check_width(X.shape[1], self.n_features_)
         out = np.empty((len(X), self.n_classes_))
+        nodes = self._nodes
         # rows is every row of X until a node splits them.
-        pending = [(self._root, slice(None))]
+        pending = [(nodes[0], slice(None))]
         while pending:
             node, rows = pending.pop()
-            while isinstance(node, _Split):
-                left = X[rows, node.feature] <= node.threshold
+            while isinstance(node, tuple):
+                feature, threshold, left_child, right_child = node
+                left = X[rows, feature] <= threshold
                 n_left = np.count_nonzero(left)
                 if n_left == len(left):
-                    node = node.left
+                    node = nodes[left_child]
                 elif n_left == 0:
-                    node = node.right
+                    node = nodes[right_child]
                 else:
                     if isinstance(rows, slice):
                         rows = np.arange(len(X))
-                    pending.append((node.right, rows[~left]))
-                    node, rows = node.left, rows[left]
+                    pending.append((nodes[right_child], rows[~left]))
+                    node, rows = nodes[left_child], rows[left]
             out[rows] = node.distribution()
         return out
 
     def _leaves(self):
-        if self._root is None:
-            return []
-        stack, leaves = [self._root], []
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Split):
-                stack.extend((node.left, node.right))
-            else:
-                leaves.append(node)
-        return leaves
+        return [node for node in self._nodes if isinstance(node, _Leaf)]
 
     @property
     def n_leaves(self):
-        return max(len(self._leaves()), 1) if self._root is not None else 1
+        return max(len(self._leaves()), 1)
 
     @property
     def leaf_class_totals(self):
@@ -347,40 +335,43 @@ class HoeffdingTreeClassifier(IncrementalClassifier):
 class CompiledForest:
     """A list of frozen Hoeffding trees as flat node arrays, queried all at once.
 
-    Nodes are numbered breadth-first, tree after tree. A split node holds its
-    feature, its threshold and its two children; a leaf is its own child on
-    both sides, so a query may step past it, and holds a copy of its own
-    ``distribution()``. ``predict_proba`` tests every split node against the
-    row with the training ``<=`` test, so a NaN feature goes right, and then
-    steps every tree's cursor ``depth`` times, so it returns exactly what
-    each tree's own ``predict_proba`` returns. The trees must not learn
-    after compiling.
+    The trees' node lists are laid end to end, so a node keeps its position
+    in its tree plus the tree's offset, and its children the same offset. A
+    split node holds its feature, its threshold and its two children; a leaf
+    is its own child on both sides, so a query may step past it, and holds a
+    copy of its own ``distribution()``. ``predict_proba`` tests every split
+    node against the row with the training ``<=`` test, so a NaN feature
+    goes right, and then steps every tree's cursor ``depth`` times, so it
+    returns exactly what each tree's own ``predict_proba`` returns. The
+    trees must not learn after compiling.
     """
 
     def __init__(self, trees):
         feature, threshold, children, leaves, roots = [], [], [], {}, []
         self.depth = 0
         for tree in trees:
-            first = len(feature)
-            roots.append(first)
-            nodes = [(tree._root, 0)]  # grows while it is walked: breadth-first
-            for node, depth in nodes:
-                self.depth = max(self.depth, depth)
-                here = len(feature)
-                if isinstance(node, _Split):
-                    feature.append(node.feature)
-                    threshold.append(node.threshold)
+            offset = len(feature)
+            roots.append(offset)
+            # A child follows its parent, so one forward pass knows each depth.
+            depth = [0] * len(tree._nodes)
+            # An untrained tree holds no node and answers the uniform distribution.
+            for j, node in enumerate(tree._nodes or [None]):
+                here = offset + j
+                if isinstance(node, tuple):
+                    split_on, at, left, right = node
+                    feature.append(split_on)
+                    threshold.append(at)
                     # Column 1 is taken when the test holds, column 0 otherwise.
-                    children.append((first + len(nodes) + 1, first + len(nodes)))
-                    nodes += [(node.left, depth + 1), (node.right, depth + 1)]
+                    children.append((offset + right, offset + left))
+                    depth[left] = depth[right] = depth[j] + 1
                 else:
                     feature.append(0)
                     threshold.append(0.0)
                     children.append((here, here))
-                    # An untrained tree answers the uniform distribution.
                     leaves[here] = (
                         tree._uniform_proba(1)[0] if node is None else node.distribution()
                     )
+            self.depth = max([self.depth, *depth])
         self.feature = np.array(feature, dtype=np.intp)
         self.threshold = np.array(threshold)
         self.children = np.array(children, dtype=np.intp)

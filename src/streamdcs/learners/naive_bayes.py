@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..utils import as_rows, check_width
+from ..utils import as_feature_matrix, check_width
 from .base import IncrementalClassifier
 
 VARIANCE_FLOOR = 1e-9
@@ -158,7 +158,8 @@ class GaussianNaiveBayes(IncrementalClassifier):
         return variances(self._counts, self._m2)
 
     def predict_proba(self, X):
-        X = as_rows(X)
+        """Posteriors of the rows of X, rejecting a non-finite feature."""
+        X = as_feature_matrix(X, self.n_features_)
         if self._counts is None:
             return self._uniform_proba(len(X))
         return stacked_proba(*self._stack_of_one(), X)[0]

@@ -9,17 +9,19 @@ import numpy as np
 
 
 def as_rows(X):
-    """X as a float64 array of rows, a single row given as a 1-D array."""
+    """X as a 2-D float64 array of rows, a single row given as a 1-D array."""
     X = np.asarray(X, dtype=np.float64)
-    return X.reshape(1, -1) if X.ndim == 1 else X
+    if X.ndim == 1:
+        return X.reshape(1, -1)
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-D feature matrix, got ndim={X.ndim}")
+    return X
 
 
 def as_feature_matrix(X, n_features=None):
     """Coerce X to a 2-D float64 array of finite values, optionally enforcing
     the column count."""
     X = as_rows(X)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D feature matrix, got ndim={X.ndim}")
     if not np.isfinite(X).all():
         row, column = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(

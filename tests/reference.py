@@ -22,8 +22,6 @@ from streamdcs.learners.base import repeat_rows
 from streamdcs.learners.hoeffding_tree import (
     HoeffdingTreeClassifier,
     _entropy_bits,
-    _Leaf,
-    _Split,
     hoeffding_bound,
 )
 from streamdcs.learners.naive_bayes import VARIANCE_FLOOR, variances
@@ -325,27 +323,16 @@ class LoopHoeffdingTree(HoeffdingTreeClassifier):
     feature at a time."""
 
     def _learn(self, X, y, weights):
-        if self._root is None:
-            self._root = _Leaf(self.n_classes_, self.n_features_)
         X, y = repeat_rows(X, y, weights)
         for x, c in zip(X, y):
-            leaf, parent, side = self._route(x)
+            j = self._route(x)
+            leaf = self._nodes[j]
             _loop_leaf_learn(leaf, x, c)
             if leaf.since_attempt >= self.grace_period:
                 leaf.since_attempt = 0
                 split = self._evaluate_split(leaf)
                 if split is not None:
-                    self.retired_count_ += int(leaf.class_counts.sum())
-                    node = _Split(
-                        split[0],
-                        split[1],
-                        _Leaf(self.n_classes_, self.n_features_),
-                        _Leaf(self.n_classes_, self.n_features_),
-                    )
-                    if parent is None:
-                        self._root = node
-                    else:
-                        setattr(parent, side, node)
+                    self._split(j, *split)
 
     def _evaluate_split(self, leaf):
         counts = leaf.class_counts

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 import warnings
 
@@ -6,15 +7,17 @@ import numpy as np
 import pytest
 
 from streamdcs import (
+    DynseClassifier,
     GaussianNaiveBayes,
     HoeffdingTreeClassifier,
+    MdeClassifier,
     OnlineBaggingEnsemble,
     hoeffding_bound,
 )
-from streamdcs.learners.hoeffding_tree import CompiledForest, _Split, _thresholds
+from streamdcs.learners.hoeffding_tree import CompiledForest, _thresholds
 from streamdcs.utils import as_feature_matrix
 
-from helpers import ConstantClassifier
+from helpers import ConstantClassifier, state_of
 from reference import LoopHoeffdingTree
 
 
@@ -263,16 +266,18 @@ def test_tree_parameter_rejected_at_construction(name, value):
 
 
 def tree_state(tree):
-    """Structure, thresholds by their hex form, every leaf's moments, range
-    and attempt counter by their bytes, and the retired tally."""
+    """Every node by its position: a split's feature, its threshold by its
+    hex form and its children's positions; a leaf's moments, range and
+    attempt counter by their bytes; and the retired tally."""
 
-    def walk(node):
-        if isinstance(node, _Split):
-            return ("split", node.feature, node.threshold.hex(), walk(node.left), walk(node.right))
+    def state(node):
+        if isinstance(node, tuple):
+            feature, threshold, left, right = node
+            return ("split", feature, threshold.hex(), left, right)
         arrays = (node.class_counts, node.mean, node.m2, node.f_min, node.f_max)
         return ("leaf", node.since_attempt) + tuple(a.tobytes() for a in arrays)
 
-    return walk(tree._root), tree.retired_count_
+    return [state(node) for node in tree._nodes], tree.retired_count_
 
 
 def test_buffered_training_matches_row_by_row_reference():
@@ -406,7 +411,7 @@ class TestBatchEquivalence:
         # Each row gets the distribution of the leaf that training routes
         # it to; a NaN feature fails every <= test and goes right.
         for q, proba in zip(Q, batch):
-            counts = ht._route(q)[0].class_counts
+            counts = ht._nodes[ht._route(q)].class_counts
             assert np.array_equal(proba, counts / counts.sum())
 
     def test_naive_bayes(self, rng):
@@ -437,6 +442,42 @@ class TestBatchEquivalence:
         assert ties.any() and not predictions[ties].any()
 
 
+class TestTreePickle:
+    """A tree, or a stream method over trees, pickled mid-stream predicts
+    and trains on as the original."""
+
+    def test_tree_round_trip(self, rng):
+        X, y = oblique_stream(rng, 3000)
+        tree = HoeffdingTreeClassifier().partial_fit(X[:1100], y[:1100], n_classes=2)
+        assert tree.n_leaves == 2
+        copy = pickle.loads(pickle.dumps(tree))
+        assert tree_state(copy) == tree_state(tree)
+        Q = queries_with_nan(rng)
+        for start in range(1100, 3000, 380):
+            assert copy.predict_proba(Q).tobytes() == tree.predict_proba(Q).tobytes()
+            for model in (tree, copy):
+                model.partial_fit(X[start : start + 380], y[start : start + 380])
+            assert tree_state(copy) == tree_state(tree)
+        assert copy.n_leaves >= 5  # the copy went on splitting
+
+    @pytest.mark.parametrize("method", [DynseClassifier, MdeClassifier])
+    def test_stream_method_round_trip(self, rng, method):
+        X, y = oblique_stream(rng, 600)
+        model = method(chunk_size=100, max_pool_size=3).partial_fit(X[:350], y[:350], n_classes=2)
+        model.predict(X[350:360])  # fills the query cache: forest and window posteriors
+        assert model._query_cache[0] is not None
+        copy = pickle.loads(pickle.dumps(model))
+        assert state_of(copy) == state_of(model)
+        # Through the chunk boundaries at rows 400 and 500.
+        for start in range(350, 600, 10):
+            batch = slice(start, start + 10)
+            assert np.array_equal(copy.predict(X[batch]), model.predict(X[batch]))
+            for m in (model, copy):
+                m.partial_fit(X[batch], y[batch])
+        assert model.learners_created == 6
+        assert state_of(copy) == state_of(model)
+
+
 def test_compiled_forest_equals_each_trees_own_posteriors(rng):
     trees = [HoeffdingTreeClassifier(tie_threshold=0.3) for _ in range(5)]
     for tree in trees:
@@ -462,6 +503,30 @@ def test_non_finite_features_rejected(value):
         as_feature_matrix(X)
     with pytest.raises(ValueError, match="finite"):
         GaussianNaiveBayes().partial_fit(X, [0, 1, 0], n_classes=2)
+    # A fitted naive Bayes names the row rather than answering NaN posteriors
+    # whose argmax is class 0.
+    nb = GaussianNaiveBayes().partial_fit(np.eye(2), [0, 1])
+    for query in (nb.predict_proba, nb.predict):
+        with pytest.raises(ValueError, match="row 2, column 1"):
+            query(X)
+
+
+FITTED_LEARNERS = {
+    "tree": HoeffdingTreeClassifier,
+    "naive-bayes": GaussianNaiveBayes,
+    "bag": lambda: OnlineBaggingEnsemble([GaussianNaiveBayes() for _ in range(4)], seed=3),
+}
+
+
+@pytest.mark.parametrize("learner", sorted(FITTED_LEARNERS))
+@pytest.mark.parametrize("call", ["predict_proba", "predict"])
+@pytest.mark.parametrize("shape", [(), (2, 3, 1), (2, 3, 4)], ids=str)
+def test_feature_arrays_neither_1d_nor_2d_rejected(learner, call, shape):
+    rng = np.random.default_rng(5)
+    model = FITTED_LEARNERS[learner]()
+    model.partial_fit(rng.normal(size=(500, 3)), rng.integers(0, 2, 500), n_classes=2)
+    with pytest.raises(ValueError, match=f"expected a 2-D feature matrix, got ndim={len(shape)}"):
+        getattr(model, call)(np.zeros(shape))
 
 
 @pytest.mark.parametrize(
