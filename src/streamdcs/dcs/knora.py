@@ -81,8 +81,7 @@ class MDEVote(DCSRule):
     """
 
     def __init__(self, k=7):
-        check_positive_integer("k", k)
-        self.k = k
+        self.k = check_positive_integer("k", k)
 
     def select(self, ctx):
         correct = ctx.correctness.sum(axis=1)

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
+from ..utils import check_real
 from .base import DCSRule
 
 
@@ -47,10 +46,7 @@ class MCB(DCSRule):
     """
 
     def __init__(self, similarity_threshold=0.7):
-        t = similarity_threshold
-        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not 0 <= t <= 1:
-            raise ValueError(f"similarity_threshold must be a finite number in [0, 1], got {t!r}")
-        self.similarity_threshold = similarity_threshold
+        self.similarity_threshold = check_real("similarity_threshold", similarity_threshold, 0, 1)
 
     def select(self, ctx):
         neighbor_behavior = ctx.posteriors.argmax(axis=2)  # (P, k')

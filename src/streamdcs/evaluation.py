@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .utils import check_positive_integer, check_real
+
 CSV_HEADER = "index,accuracy,faded_accuracy,window_accuracy,kappa,gmean"
 
 
@@ -52,16 +54,12 @@ class PrequentialState:
     """
 
     def __init__(self, n_classes, alpha=0.999, window=500):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("fading factor must be in (0, 1]")
-        if window < 1:
-            raise ValueError("window must be positive")
-        self.n_classes = n_classes
-        self.alpha = alpha
+        self.n_classes = check_positive_integer("n_classes", n_classes)
+        self.alpha = check_real("alpha", alpha, 0, 1, low_open=True)
         self.confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
         self.faded_correct = 0.0
         self.faded_total = 0.0
-        self.window = deque(maxlen=window)
+        self.window = deque(maxlen=check_positive_integer("window", window))
         self.instances_seen = 0
 
     def update(self, y_true, y_pred):
@@ -132,10 +130,8 @@ def prequential_run(stream, model, n, alpha=0.999, window=500, checkpoint_every=
     ends before n instances, the report covers what was seen and is
     flagged truncated.
     """
-    if n < 1:
-        raise ValueError("instance budget must be positive")
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint interval must be positive")
+    check_positive_integer("n", n)
+    check_positive_integer("checkpoint_every", checkpoint_every)
     state = PrequentialState(stream.n_classes, alpha=alpha, window=window)
     report = EvaluationReport()
     iterator = iter(stream)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..utils import as_rows
+from ..utils import as_feature_matrix, check_real
 from .base import IncrementalClassifier, repeat_rows
 from .naive_bayes import GaussianNaiveBayes, stacked_proba, welford_steps
 
@@ -57,12 +57,10 @@ class OnlineBaggingEnsemble(IncrementalClassifier):
 
     def __init__(self, members, lam=1.0, seed=None):
         super().__init__()
-        if not np.isfinite(lam) or lam < 0:
-            raise ValueError(f"lam must be finite and nonnegative, got {lam}")
+        self.lam = check_real("lam", lam, 0, high_open=True)
         self.members = list(members)
         if not self.members:
             raise ValueError("ensemble needs at least one member")
-        self.lam = float(lam)
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._stack = None  # (counts, mean, m2) of naive-Bayes members
@@ -126,7 +124,7 @@ class OnlineBaggingEnsemble(IncrementalClassifier):
 
     def predict_proba(self, X):
         """Share of the members voting for each class, row by row."""
-        X = as_rows(X)
+        X = as_feature_matrix(X, self.n_features_)
         if self.n_classes_ is None:
             return self._uniform_proba(len(X))
         return self._tallies(X).T / len(self.members)
@@ -136,7 +134,7 @@ class OnlineBaggingEnsemble(IncrementalClassifier):
     def predict(self, X):
         """Majority vote of the members, ties to the lowest class index: the
         argmax of predict_proba, taken from the tallies it divides."""
-        X = as_rows(X)
+        X = as_feature_matrix(X, self.n_features_)
         if self.n_classes_ is None:
             return np.zeros(len(X), dtype=np.intp)
         return np.argmax(self._tallies(X), axis=0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..utils import FitValidationMixin, ParamsMixin
+from ..utils import FitValidationMixin, ParamsMixin, check_positive_integer
 
 
 def repeat_rows(X, y, weights):
@@ -32,8 +32,9 @@ class IncrementalClassifier(ParamsMixin, FitValidationMixin):
     """
 
     def __init__(self, n_classes=None):
-        self.n_classes = n_classes
-        self.n_classes_ = int(n_classes) if n_classes else None
+        if n_classes is not None:
+            check_positive_integer("n_classes", n_classes)
+        self.n_classes = self.n_classes_ = n_classes
         self.n_features_ = None
 
     def partial_fit(self, X, y, n_classes=None):

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from ..utils import as_rows, check_positive_integer, check_width
+from ..utils import as_rows, check_positive_integer, check_real, check_width
 from .base import IncrementalClassifier, repeat_rows
 from .naive_bayes import VARIANCE_FLOOR
 
@@ -19,17 +18,10 @@ def hoeffding_bound(value_range, delta, n):
 
     delta=1 is the degenerate boundary where the radius collapses to 0.
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must be in (0, 1]")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if value_range <= 0:
-        raise ValueError("value range must be positive")
+    check_real("value_range", value_range, 0, low_open=True, high_open=True)
+    check_real("delta", delta, 0, 1, low_open=True)
+    check_real("n", n, 1, high_open=True)
     return math.sqrt(value_range * value_range * math.log(1.0 / delta) / (2.0 * n))
-
-
-def _is_real(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _normal_cdf(z):
@@ -151,19 +143,13 @@ class HoeffdingTreeClassifier(IncrementalClassifier):
         n_split_candidates=10,
         n_classes=None,
     ):
-        check_positive_integer("grace_period", grace_period)
-        check_positive_integer("n_split_candidates", n_split_candidates)
-        if not _is_real(split_confidence) or not 0.0 < split_confidence <= 1.0:
-            raise ValueError(f"split_confidence must be in (0, 1], got {split_confidence!r}")
-        if not _is_real(tie_threshold) or not 0.0 <= tie_threshold < math.inf:
-            raise ValueError(
-                f"tie_threshold must be finite and nonnegative, got {tie_threshold!r}"
-            )
         super().__init__(n_classes=n_classes)
-        self.grace_period = grace_period
-        self.split_confidence = split_confidence
-        self.tie_threshold = tie_threshold
-        self.n_split_candidates = n_split_candidates
+        self.grace_period = check_positive_integer("grace_period", grace_period)
+        self.split_confidence = check_real(
+            "split_confidence", split_confidence, 0, 1, low_open=True
+        )
+        self.tie_threshold = check_real("tie_threshold", tie_threshold, 0, high_open=True)
+        self.n_split_candidates = check_positive_integer("n_split_candidates", n_split_candidates)
         # The tree as one list addressed by position, root first: a leaf is
         # its _Leaf, a split a (feature, threshold, left, right) tuple whose
         # children are positions after its own. Empty until the shape is set.

@@ -11,8 +11,7 @@ class Pool:
     """Ordered, bounded collection of classifiers with birth metadata."""
 
     def __init__(self, max_size):
-        check_positive_integer("max_size", max_size)
-        self.max_size = int(max_size)
+        self.max_size = check_positive_integer("max_size", max_size)
         self._members = []
         self._births = []
         # Bumped by every change to the membership, so caches can key on it.
@@ -30,10 +29,11 @@ class Pool:
         return list(self._births)
 
     def append(self, learner, birth_index):
+        birth_index = check_positive_integer("birth_index", birth_index, low=0)
         if self._births and birth_index < self._births[-1]:
             raise ValueError("birth indices must be nondecreasing")
         self._members.append(learner)
-        self._births.append(int(birth_index))
+        self._births.append(birth_index)
         self.version += 1
 
     @property

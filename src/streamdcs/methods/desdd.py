@@ -9,7 +9,7 @@ import numpy as np
 from ..learners import GaussianNaiveBayes, OnlineBaggingEnsemble
 from ..learners.bagging import tally_votes
 from ..learners.naive_bayes import stacked_constants, stacked_scores, welford_steps
-from ..utils import check_positive_integer
+from ..utils import check_positive_integer, check_real
 from .base import BaseStreamClassifier
 
 
@@ -44,8 +44,8 @@ class DesddClassifier(BaseStreamClassifier):
         Zero-argument factory for fresh members. Every incoming instance
         trains every member, so the default is the cheap Gaussian NB.
     lambda_range : (float, float)
-        Poisson rates are spaced evenly across this closed interval; both
-        ends finite and nonnegative.
+        Poisson rates are spaced evenly across this closed interval; a pair
+        whose ends are both finite and nonnegative.
     chunk_size : int
         Re-selection cadence in instances; positive.
     window_size : int or None
@@ -65,18 +65,17 @@ class DesddClassifier(BaseStreamClassifier):
         seed=None,
     ):
         super().__init__()
-        if not np.isfinite(lambda_range).all() or min(lambda_range) < 0:
-            raise ValueError(f"lambda_range must be finite and nonnegative, got {lambda_range}")
-        check_positive_integer("n_subensembles", n_subensembles)
-        check_positive_integer("subensemble_size", subensemble_size)
-        check_positive_integer("chunk_size", chunk_size)
-        if window_size is not None:
-            check_positive_integer("window_size", window_size)
-        self.n_subensembles = n_subensembles
-        self.subensemble_size = subensemble_size
+        if not isinstance(lambda_range, (tuple, list, np.ndarray)) or len(lambda_range) != 2:
+            raise ValueError(f"lambda_range must be a pair of rates, got {lambda_range!r}")
+        for rate in lambda_range:
+            check_real("lambda_range", rate, 0, high_open=True)
+        self.n_subensembles = check_positive_integer("n_subensembles", n_subensembles)
+        self.subensemble_size = check_positive_integer("subensemble_size", subensemble_size)
         self.learner_factory = learner_factory
         self.lambda_range = lambda_range
-        self.chunk_size = chunk_size
+        self.chunk_size = check_positive_integer("chunk_size", chunk_size)
+        if window_size is not None:
+            check_positive_integer("window_size", window_size)
         self.window_size = window_size
         self.seed = seed
 

@@ -57,18 +57,14 @@ class DynseClassifier(BaseStreamClassifier):
         pruning="age",
     ):
         super().__init__()
-        check_positive_integer("chunk_size", chunk_size)
-        check_positive_integer("max_pool_size", max_pool_size)
-        check_positive_integer("window_chunks", window_chunks)
         if pruning not in ("age", "accuracy"):
             raise ValueError("pruning must be 'age' or 'accuracy'")
-        check_positive_integer("k", k)
         self.learner_factory = learner_factory
         self.dcs_rule = dcs_rule
-        self.chunk_size = chunk_size
-        self.max_pool_size = max_pool_size
-        self.k = k
-        self.window_chunks = window_chunks
+        self.chunk_size = check_positive_integer("chunk_size", chunk_size)
+        self.max_pool_size = check_positive_integer("max_pool_size", max_pool_size)
+        self.k = check_positive_integer("k", k)
+        self.window_chunks = check_positive_integer("window_chunks", window_chunks)
         self.pruning = pruning
         self._selector = dcs_rule if isinstance(dcs_rule, DCSRule) else make_rule(dcs_rule)
         self._buffer = Chunk(chunk_size)

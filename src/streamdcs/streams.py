@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import StreamFormatError
-from .utils import as_feature_matrix, as_label_vector, check_positive_integer
+from .utils import as_feature_matrix, as_label_vector, check_positive_integer, check_real
 
 # Per-concept decision thresholds of the SEA family; the label is
 # 1 when feature_0 + feature_1 <= threshold, and feature_2 is noise-only.
@@ -34,8 +34,7 @@ class Chunk:
     """
 
     def __init__(self, capacity):
-        check_positive_integer("capacity", capacity)
-        self.capacity = int(capacity)
+        self.capacity = check_positive_integer("capacity", capacity)
         self._X = None
         self._y = None
         self._size = 0
@@ -99,7 +98,10 @@ class DriftSchedule:
     segments: tuple[tuple[int, int], ...] = ((0, 0),)
 
     def __post_init__(self):
-        segs = tuple((int(s), int(c)) for s, c in self.segments)
+        segs = tuple((s, c) for s, c in self.segments)
+        for start, concept in segs:
+            check_positive_integer("segment start", start, low=0)
+            check_positive_integer("segment concept", concept, low=0)
         object.__setattr__(self, "segments", segs)
         if not segs or segs[0][0] != 0:
             raise ValueError("drift schedule must start at instance 0")
@@ -152,9 +154,7 @@ class SEAGenerator(StreamSource):
     def __init__(self, seed, schedule=None, noise_rate=0.0):
         self.seed = seed
         self.schedule = schedule if schedule is not None else DriftSchedule()
-        self.noise_rate = float(noise_rate)
-        if not 0.0 <= self.noise_rate <= 1.0:
-            raise ValueError("noise_rate must be in [0, 1]")
+        self.noise_rate = check_real("noise_rate", noise_rate, 0, 1)
         for _, concept in self.schedule.segments:
             if not 0 <= concept < len(SEA_THRESHOLDS):
                 raise ValueError(
@@ -180,12 +180,18 @@ class CSVStream(StreamSource):
 
     Non-label columns must parse as finite decimal-point reals; label
     values are remapped to dense class indices in order of first appearance.
+    label_column is "last" or a 0-based column index, and header a bool
+    saying whether the first non-blank line is a header to skip.
     """
 
     def __init__(self, path, label_column="last", header=False):
+        if label_column != "last":
+            check_positive_integer("label_column", label_column, low=0)
+        if not isinstance(header, bool):
+            raise ValueError(f"header must be a bool, got {header!r}")
         self.path = path
         self.label_column = label_column
-        self.header = bool(header)
+        self.header = header
         X, y, class_labels = _parse_csv(path, label_column, self.header)
         self._X = X
         self._y = y
@@ -222,12 +228,9 @@ def _parse_csv(path, label_column, header):
     n_cols = len(rows[0][1].split(","))
     if n_cols < 2:
         raise StreamFormatError(f"{path}: need at least one feature and a label column")
-    if label_column == "last":
-        label_idx = n_cols - 1
-    else:
-        label_idx = int(label_column)
-        if not 0 <= label_idx < n_cols:
-            raise StreamFormatError(f"{path}: label column {label_idx} out of range")
+    label_idx = n_cols - 1 if label_column == "last" else label_column
+    if label_idx >= n_cols:
+        raise StreamFormatError(f"{path}: label column {label_idx} out of range")
 
     X = np.empty((len(rows), n_cols - 1))
     labels = []

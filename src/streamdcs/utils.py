@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import inspect
+import math
 import numbers
+import operator
 
 import numpy as np
 
@@ -69,16 +71,19 @@ class FitValidationMixin:
     def _validate_fit(self, X, y, n_classes=None):
         """(X, y) as checked arrays, or None for an empty batch.
 
-        The first non-empty batch fixes the class count (n_classes, else the
+        The first non-empty batch fixes the class count (n_classes, a
+        positive integer checked only while the count is unset, else the
         largest label plus one) and the feature count. Labels are
         range-checked before anything is fixed or drawn, so a rejected batch
         leaves the model as it was.
         """
         X = as_feature_matrix(X, self.n_features_)
         y = as_label_vector(y, len(X))
+        if self.n_classes_ is None and n_classes is not None:
+            check_positive_integer("n_classes", n_classes)
         if len(X) == 0:
             return None
-        classes = self.n_classes_ or (int(n_classes) if n_classes else int(y.max()) + 1)
+        classes = self.n_classes_ or n_classes or int(y.max()) + 1
         if y.max() >= classes:
             raise ValueError(f"label {int(y.max())} out of range for {classes} classes")
         if self.n_classes_ is None or self.n_features_ is None:
@@ -93,10 +98,27 @@ class FitValidationMixin:
             self.n_features_ = n_features
 
 
-def check_positive_integer(name, value):
-    """Reject a parameter that is not a positive integer, naming it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def check_positive_integer(name, value, low=1):
+    """value as an int if it is an integer of at least low, else a
+    ValueError naming it. Bools, floats (whole or not) and strings are not
+    integers here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        kind = "a positive integer" if low == 1 else f"an integer >= {low}"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return operator.index(value)
+
+
+def check_real(name, value, low=-math.inf, high=math.inf, low_open=False, high_open=False):
+    """value as a float if it is a real number from low to high, each end
+    closed unless said open, else a ValueError naming it. Bools, strings and
+    NaN never pass, and an open infinite end rejects that infinity."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not real or not (low < value if low_open else low <= value) or not (
+        value < high if high_open else value <= high
+    ):
+        interval = f"{'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}"
+        raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
+    return float(value)
 
 
 def majority_vote(labels, n_classes):

@@ -108,8 +108,7 @@ class ValidationSet:
     """
 
     def __init__(self, max_chunks=4):
-        check_positive_integer("max_chunks", max_chunks)
-        self.max_chunks = int(max_chunks)
+        self.max_chunks = check_positive_integer("max_chunks", max_chunks)
         self._chunks = deque(maxlen=self.max_chunks)
         self._size = 0
         self._flat = None  # (d, N) columns, labels, squared norms, largest norm
@@ -224,8 +223,7 @@ class ValidationSet:
         """
         if self._size == 0:
             raise NotReadyError("validation set is empty")
-        if k < 1:
-            raise ValueError("k must be positive")
+        check_positive_integer("k", k)
         columns, y, norms, max_norm = self._flatten()
         x = np.asarray(x, dtype=np.float64).ravel()
         check_width(len(x), len(columns))
@@ -248,8 +246,7 @@ class ValidationSet:
             raise NotReadyError("validation set is empty")
         if not len(posteriors):
             raise NotReadyError("pool is empty")
-        if k < 1:
-            raise ValueError("k must be positive")
+        check_positive_integer("k", k)
         diff = output_profiles(posteriors) - query_posteriors.reshape(-1)
         sq = np.einsum("ij,ij->i", diff, diff)
         picked = _smallest_k(sq, k)

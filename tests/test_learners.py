@@ -375,11 +375,11 @@ class TestOnlineBagging:
         with pytest.raises(ValueError):
             OnlineBaggingEnsemble([ConstantClassifier(0)], lam=-1.0)
 
-    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.5])
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.5, True, "1"])
     def test_non_finite_or_negative_lambda_rejected_by_name(self, lam):
         # NaN fails no comparison, so a plain lam < 0 lets it through to
-        # the first Poisson draw.
-        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+        # the first Poisson draw; a bool or a string is not a rate.
+        with pytest.raises(ValueError, match=re.escape("lam must be a real number in [0, inf)")):
             OnlineBaggingEnsemble([ConstantClassifier(0)], lam=lam)
 
 
@@ -506,7 +506,10 @@ def test_non_finite_features_rejected(value):
     # A fitted naive Bayes names the row rather than answering NaN posteriors
     # whose argmax is class 0.
     nb = GaussianNaiveBayes().partial_fit(np.eye(2), [0, 1])
-    for query in (nb.predict_proba, nb.predict):
+    # So does a bag, whose stacked members would all vote class 0.
+    bag = OnlineBaggingEnsemble([GaussianNaiveBayes() for _ in range(4)], seed=0)
+    bag.partial_fit(np.eye(2), [0, 1])
+    for query in (nb.predict_proba, nb.predict, bag.predict_proba, bag.predict):
         with pytest.raises(ValueError, match="row 2, column 1"):
             query(X)
 

@@ -256,7 +256,17 @@ class TestDesdd:
             DesddClassifier(**{size: value})
 
     @pytest.mark.parametrize(
-        "lambda_range", [(float("nan"), 1.0), (1.0, float("inf")), (-1.0, 2.0)]
+        "lambda_range",
+        [
+            (float("nan"), 1.0),
+            (1.0, float("inf")),
+            (-1.0, 2.0),
+            # Not a pair of rates: no rate is dropped or read past the end.
+            (1.0, 2.0, 3.0),
+            (1.0,),
+            "ab",
+            (True, 2.0),
+        ],
     )
     def test_non_finite_or_negative_lambda_range_rejected(self, lambda_range):
         with pytest.raises(ValueError, match="lambda_range"):
